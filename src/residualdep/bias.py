@@ -19,7 +19,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConstraintError, EstimationError, NumericDomainError
+from .errors import ConstraintError, DataError, EstimationError, NumericDomainError, \
+    ParameterDomainError
 from .estimators import EstimatorSpec, EtaEstimate, Margin, asymptotic_variance, \
     confidence_interval, eta_hat
 from .pseudo import PseudoSample
@@ -84,6 +85,10 @@ def estimate_second_order(pseudo, k0: int | None = None) -> SecondOrderParams:
 
     Raises
     ------
+    DataError
+        When fewer than 50 observations are given.
+    ParameterDomainError
+        When k0 lies outside 2..n-1.
     EstimationError
         On degenerate tails (constant top order statistics) or when the
         statistics ratio degenerates so that no positive tau results.
@@ -91,11 +96,11 @@ def estimate_second_order(pseudo, k0: int | None = None) -> SecondOrderParams:
     t_sorted = pseudo.t_sorted if isinstance(pseudo, PseudoSample) else np.asarray(pseudo)
     n = len(t_sorted)
     if n < 50:
-        raise ValueError(f"second-order estimation needs n >= 50, got {n}")
+        raise DataError(f"second-order estimation needs n >= 50, got {n}")
     if k0 is None:
         k0 = default_k0(n)
     if not 2 <= k0 <= n - 1:
-        raise ValueError(f"need 2 <= k0 <= n - 1 = {n - 1}, got {k0}")
+        raise ParameterDomainError(f"need 2 <= k0 <= n - 1 = {n - 1}, got {k0}")
 
     log_t = np.log(t_sorted)
     excess = log_t[n - k0:] - log_t[n - k0 - 1]

@@ -60,6 +60,7 @@ def _ingest_from_args(args) -> tuple[BivariateSample, PseudoSample]:
     spec = IngestionSpec(
         path=args.data, x_col=args.x, y_col=args.y, date_col=args.date_col,
         dry_threshold=args.dry, quantile_filter=args.quantile, month=args.month,
+        date_from=args.date_from, date_to=args.date_to,
         either=args.either, tie_policy=TiePolicy(args.ties), **kwargs,
     )
     sample = ingest(spec)

@@ -125,7 +125,10 @@ def m_ab(tail: np.ndarray, k: int, a: float, b: float) -> float:
         log_a = (peak + math.log(float(np.mean(np.exp(scaled - peak))))) / a
     if b == 0.0:
         return log_a
-    return float(math.expm1(b * log_a) / b)
+    try:
+        return float(math.expm1(b * log_a) / b)
+    except OverflowError:
+        raise NumericDomainError(f"M_(a,b) overflows at a={a}, b={b}, k={k}") from None
 
 
 _MARGIN_ATTR = {

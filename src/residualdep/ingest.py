@@ -43,6 +43,10 @@ class IngestionSpec:
             raise ValueError(f"quantile_filter must lie in [0, 1), got {self.quantile_filter}")
         if self.dry_threshold < 0.0:
             raise ValueError(f"dry_threshold must be >= 0, got {self.dry_threshold}")
+        if self.date_col is None:
+            dated = [f for f in ("month", "date_from", "date_to") if getattr(self, f) is not None]
+            if dated:
+                raise DataError(f"{', '.join(dated)} filters dates, but no date column is set")
         for attr in ("date_from", "date_to"):
             value = getattr(self, attr)
             if isinstance(value, str):

@@ -66,25 +66,21 @@ class BivariateSample:
         return len(self.x)
 
 
-def _ordinal_ranks(values: np.ndarray) -> np.ndarray:
-    # stable sort => ties ranked by order of first occurrence
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.int64)
-    ranks[order] = np.arange(1, len(values) + 1)
-    return ranks
-
-
 def _rank_one_margin(values, policy, rng, name):
-    if policy is TiePolicy.JITTER:
-        spread = float(np.max(values) - np.min(values))
-        amplitude = 1e-9 * max(1.0, spread)
-        values = values + rng.uniform(0.0, amplitude, size=len(values))
-    elif policy is TiePolicy.STRICT:
+    if policy is TiePolicy.STRICT:
         uniq, counts = np.unique(values, return_counts=True)
         if (counts > 1).any():
             offender = uniq[counts > 1][0]
             raise TieError(f"tied value {offender!r} in {name} under strict tie policy")
-    return _ordinal_ranks(values)
+    if policy is TiePolicy.JITTER:
+        # a seeded random key orders ties only; distinct values keep their order
+        order = np.lexsort((rng.random(len(values)), values))
+    else:
+        # stable sort => ties ranked by order of first occurrence
+        order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.int64)
+    ranks[order] = np.arange(1, len(values) + 1)
+    return ranks
 
 
 def compute_ranks(sample: BivariateSample, tie_policy=TiePolicy.FIRST_OCCURRENCE,
@@ -94,8 +90,8 @@ def compute_ranks(sample: BivariateSample, tie_policy=TiePolicy.FIRST_OCCURRENCE
     For distinct values rx[i] equals the count of x_j <= x_i.  Ties are
     resolved by the policy: ``first_occurrence`` assigns stable ordinal
     ranks in input order, ``strict`` raises ``TieError``, and ``jitter``
-    breaks ties with uniform noise at 1e-9 scale drawn from ``jitter_seed``
-    (logged, so the run stays reproducible).
+    orders each group of tied values by a uniform random key drawn from
+    ``jitter_seed`` (logged, so the run stays reproducible).
     """
     policy = TiePolicy(tie_policy)
     rng = None

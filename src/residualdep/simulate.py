@@ -12,18 +12,21 @@ under any worker count.
 """
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .bias import SecondOrderParams, SecondOrderSource, effective_tau, \
     estimate_second_order, reduced_bias_eta
 from .copulas import CopulaModel, Family, replicate_generator, sample_copula
-from .errors import ResidualDepError
+from .errors import ParameterDomainError, ResidualDepError
 from .estimators import EstimatorSpec, Margin, eta_hat
 from .pseudo import BivariateSample, PseudoSample
 
@@ -129,7 +132,7 @@ class SecondOrderSpec:
                 tau = self.tau
             else:
                 if model.true_eta is None or model.true_tau is None:
-                    raise ValueError(
+                    raise ParameterDomainError(
                         f"{model.family.value} theta={model.theta} has no ground truth; "
                         "oracle second-order mode needs an explicit tau"
                     )
@@ -149,7 +152,8 @@ class StudyConfig:
     ``k_grid`` entries may be integers (absolute k) or fractions in (0, 1),
     floored via [n * f]; ``None`` selects every integer k up to [0.3 n].
     ``q_grid`` defaults to 0.1, 0.2, ..., 1.9 and ``margins`` to all three
-    pseudo-observation scales.
+    pseudo-observation scales.  All three grids are resolved sorted and
+    de-duplicated, which makes the study grid the report's row order.
     """
 
     model: CopulaModel
@@ -167,10 +171,10 @@ class StudyConfig:
             raise ValueError(f"need n >= 2, got {self.n}")
         if self.N < 1:
             raise ValueError(f"need N >= 1, got {self.N}")
-        object.__setattr__(self, "q_grid", tuple(float(q) for q in self.q_grid))
+        object.__setattr__(self, "q_grid", tuple(sorted({float(q) for q in self.q_grid})))
         if any(q <= 0.0 for q in self.q_grid):
             raise ValueError("q_grid values must be positive")
-        object.__setattr__(self, "margins", tuple(Margin(m) for m in self.margins))
+        object.__setattr__(self, "margins", tuple(sorted({Margin(m) for m in self.margins})))
         object.__setattr__(self, "kstar_rule", KstarRule.parse(self.kstar_rule))
         object.__setattr__(self, "k_grid", self._resolve_k_grid(self.k_grid))
 
@@ -243,61 +247,46 @@ def load_config(path, master_seed: int | None = None) -> StudyConfig:
     return config
 
 
-# --- cell bookkeeping -------------------------------------------------------
+# --- the study grid ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class _CellDef:
-    estimator: str  # "raw" | "reduced"
-    margin: Margin
-    q: float
-    spec: EstimatorSpec
-    k: int
-    kstar: int | None
+def _grid(config: StudyConfig) -> list[tuple]:
+    """(estimator, spec, k, kstar) for every cell, in report row order.
 
-
-def _build_cells(config: StudyConfig) -> list[_CellDef]:
-    cells = []
-    for margin in config.margins:
-        for q in config.q_grid:
-            spec = EstimatorSpec.conjugate(q, margin=margin)
-            for k in config.k_grid:
-                cells.append(_CellDef("raw", margin, q, spec, k, None))
-    if Margin.FRECHET_SHIFTED in config.margins:
-        for q in config.q_grid:
-            spec = EstimatorSpec.conjugate(q, margin=Margin.FRECHET_SHIFTED)
-            for k in config.k_grid:
-                kstar = config.kstar_rule.resolve(config.n, k)
-                cells.append(_CellDef("reduced", Margin.FRECHET_SHIFTED, q, spec, k, kstar))
-    return cells
+    Raw cells on each margin come first, then the reduced-bias cells on
+    the shifted-Frechet margin ("raw" sorts before "reduced"); the sorted
+    config grids order the rest.
+    """
+    specs = [EstimatorSpec.conjugate(q, margin=m) for m in config.margins for q in config.q_grid]
+    grid = [("raw", spec, k, None) for spec in specs for k in config.k_grid]
+    grid += [("reduced", spec, k, config.kstar_rule.resolve(config.n, k))
+             for spec in specs if spec.margin is Margin.FRECHET_SHIFTED
+             for k in config.k_grid]
+    return grid
 
 
-def _evaluate_replicate(config: StudyConfig, cells: list[_CellDef], r: int) -> np.ndarray:
+def _evaluate_replicate(config: StudyConfig, grid: list[tuple], r: int) -> np.ndarray:
+    """Estimates of replicate r on every cell; NaN where a domain error occurred."""
     rng = replicate_generator(config.master_seed, r)
     u, v = sample_copula(config.model, config.n, rng)
     pseudo = PseudoSample.from_sample(BivariateSample(u, v))
     so = None
-    so_failed = False
-    if any(c.estimator == "reduced" for c in cells):
+    if any(cell[0] == "reduced" for cell in grid):
         try:
             so = config.second_order.resolve(config.model, pseudo)
-        except (ResidualDepError, ValueError):
-            so_failed = True
-    out = np.empty(len(cells))
-    for j, cell in enumerate(cells):
+        except ResidualDepError:
+            pass
+    out = np.empty(len(grid))
+    for j, (estimator, spec, k, kstar) in enumerate(grid):
         try:
-            if cell.estimator == "raw":
-                out[j] = eta_hat(pseudo, cell.k, cell.spec)
-            elif so_failed:
+            if estimator == "raw":
+                out[j] = eta_hat(pseudo, k, spec)
+            elif so is None:
                 out[j] = math.nan
             else:
-                out[j] = reduced_bias_eta(pseudo, cell.k, cell.kstar, cell.spec.a, so).eta
-        except (ResidualDepError, ValueError, ArithmeticError):
+                out[j] = reduced_bias_eta(pseudo, k, kstar, spec.a, so).eta
+        except ResidualDepError:
             out[j] = math.nan
     return out
-
-
-def _evaluate_replicate_star(args):
-    return _evaluate_replicate(*args)
 
 
 # --- order-insensitive moment merging ---------------------------------------
@@ -350,8 +339,9 @@ def _merge_stream(chunks, truth: float) -> _Moments:
 
 # --- report -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(NamedTuple):
+    """One report row; the fields are the CSV columns, in order."""
+
     estimator: str
     margin: str
     q: float
@@ -373,8 +363,17 @@ class CellResult:
         return self.n_fail / total if total else 0.0
 
 
+CSV_COLUMNS = CellResult._fields
+
+
+def _cell_key(cell: CellResult) -> tuple:
+    return cell.estimator, cell.margin, cell.q, cell.k
+
+
 @dataclass(frozen=True)
 class SimulationReport:
+    """The study's rows, sorted by (estimator, margin, q, k), plus provenance."""
+
     cells: tuple
     master_seed: int
     config_hash: str
@@ -388,11 +387,11 @@ class SimulationReport:
         return tuple(c for c in self.cells if c.fail_fraction > 0.1)
 
     def cell(self, estimator: str, margin, q: float, k: int) -> CellResult:
-        margin = Margin(margin).value
-        for c in self.cells:
-            if (c.estimator, c.margin, c.k) == (estimator, margin, k) and c.q == q:
-                return c
-        raise KeyError(f"no cell ({estimator}, {margin}, q={q}, k={k})")
+        key = (estimator, Margin(margin).value, q, k)
+        i = bisect.bisect_left(self.cells, key, key=_cell_key)
+        if i < len(self.cells) and _cell_key(self.cells[i]) == key:
+            return self.cells[i]
+        raise KeyError(f"no cell ({estimator}, {key[1]}, q={q}, k={k})")
 
 
 def run_study(config: StudyConfig, *, workers: int = 1) -> SimulationReport:
@@ -402,69 +401,46 @@ def run_study(config: StudyConfig, *, workers: int = 1) -> SimulationReport:
     the per-replicate streams and the fixed-order aggregation tree make the
     report bit-identical for any worker count.
     """
-    cells = _build_cells(config)
+    grid = _grid(config)
     truth = config.model.true_eta if config.model.true_eta is not None else math.nan
-    indices = range(config.N)
+    evaluate = partial(_evaluate_replicate, config, grid)
     if workers <= 1 or config.N == 1:
-        chunks = (_evaluate_replicate(config, cells, r) for r in indices)
-        moments = _merge_stream(chunks, truth)
+        moments = _merge_stream(map(evaluate, range(config.N)), truth)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            args = ((config, cells, r) for r in indices)
             chunk = max(1, config.N // (workers * 4))
-            results = pool.map(_evaluate_replicate_star, args, chunksize=chunk)
-            moments = _merge_stream(results, truth)
+            moments = _merge_stream(pool.map(evaluate, range(config.N), chunksize=chunk), truth)
 
-    out = []
-    for j, cell in enumerate(cells):
-        n_ok = int(moments.count[j])
-        mean = float(moments.mean[j]) if n_ok else math.nan
-        variance = float(moments.m2[j] / n_ok) if n_ok else math.nan
-        bias = mean - truth if (n_ok and math.isfinite(truth)) else math.nan
-        mse = float(moments.sq_err[j]) if (n_ok and math.isfinite(truth)) else math.nan
-        out.append(CellResult(
-            estimator=cell.estimator, margin=cell.margin.value, q=cell.q,
-            a=cell.spec.a, b=cell.spec.b, k=cell.k, k_over_n=cell.k / config.n,
-            kstar=cell.kstar, mean=mean, bias=bias, variance=variance, mse=mse,
-            n_ok=n_ok, n_fail=config.N - n_ok,
-        ))
+    ok = moments.count > 0
+    scored = ok & math.isfinite(truth)
+    mean = np.where(ok, moments.mean, math.nan)
+    variance = np.where(ok, moments.m2 / np.maximum(moments.count, 1), math.nan)
+    bias = np.where(scored, mean - truth, math.nan)
+    mse = np.where(scored, moments.sq_err, math.nan)
+    # .tolist() yields Python scalars, whose repr the CSV writes
+    stats = zip(mean.tolist(), bias.tolist(), variance.tolist(), mse.tolist())
+    cells = tuple(
+        CellResult(estimator, spec.margin.value, spec.q, spec.a, spec.b, k, k / config.n,
+                   kstar, *row, n_ok, config.N - n_ok)
+        for (estimator, spec, k, kstar), row, n_ok in zip(grid, stats, moments.count.tolist())
+    )
     return SimulationReport(
-        cells=tuple(out), master_seed=config.master_seed,
+        cells=cells, master_seed=config.master_seed,
         config_hash=config.config_hash(), n=config.n, n_replicates=config.N,
         true_eta=config.model.true_eta,
     )
 
 
-CSV_COLUMNS = ("estimator", "margin", "q", "a", "b", "k", "k_over_n", "kstar",
-               "mean", "bias", "variance", "mse", "n_ok", "n_fail")
-
-
-def _sorted_cells(report: SimulationReport):
-    return sorted(report.cells, key=lambda c: (c.estimator, c.margin, c.q, c.a, c.b, c.k))
-
-
-def _cell_fields(cell: CellResult):
-    return (cell.estimator, cell.margin, cell.q, cell.a, cell.b, cell.k,
-            cell.k_over_n, cell.kstar, cell.mean, cell.bias, cell.variance,
-            cell.mse, cell.n_ok, cell.n_fail)
-
-
 def emit_report(report: SimulationReport, format: str = "csv") -> str:
-    """Serialise the report; 'csv' or 'jsonl', deterministic row order."""
-    cells = _sorted_cells(report)
+    """Serialise the report rows in their order; 'csv' or 'jsonl'."""
     if format == "csv":
         lines = [",".join(CSV_COLUMNS)]
-        for cell in cells:
-            fields = ["" if v is None else (repr(v) if isinstance(v, float) else str(v))
-                      for v in _cell_fields(cell)]
-            lines.append(",".join(fields))
+        for cell in report.cells:
+            lines.append(",".join("" if v is None else repr(v) if isinstance(v, float) else str(v)
+                                  for v in cell))
         return "\n".join(lines) + "\n"
     if format == "jsonl":
-        lines = []
-        for cell in cells:
-            row = dict(zip(CSV_COLUMNS, _cell_fields(cell)))
-            lines.append(json.dumps(row))
-        return "\n".join(lines) + "\n"
+        return "\n".join(json.dumps(cell._asdict()) for cell in report.cells) + "\n"
     raise ValueError(f"unknown report format {format!r}")
 
 

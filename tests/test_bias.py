@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from residualdep import BivariateSample, ConstraintError, CopulaModel, EstimationError, \
-    EstimatorSpec, Margin, NumericDomainError, PseudoSample, SecondOrderParams, \
-    SecondOrderSource, corrected_eta, default_k0, effective_tau, estimate_second_order, \
-    eta_hat, reduced_bias_eta, replicate_generator, sample_copula
+from residualdep import BivariateSample, ConstraintError, CopulaModel, DataError, \
+    EstimationError, EstimatorSpec, Margin, NumericDomainError, ParameterDomainError, \
+    PseudoSample, SecondOrderParams, SecondOrderSource, corrected_eta, default_k0, \
+    effective_tau, estimate_second_order, eta_hat, reduced_bias_eta, replicate_generator, \
+    sample_copula
 
 
 def _pseudo(seed, n, model=None):
@@ -90,6 +91,13 @@ class TestEstimateSecondOrder:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             estimate_second_order(_pseudo(1, 40))
+        with pytest.raises(DataError):
+            estimate_second_order(_pseudo(1, 40))
+
+    def test_k0_out_of_range_is_a_domain_error(self):
+        for k0 in (1, 100):
+            with pytest.raises(ParameterDomainError):
+                estimate_second_order(_pseudo(1, 100), k0)
 
 
 class TestCorrectedEta:

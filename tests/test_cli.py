@@ -187,6 +187,42 @@ class TestSecondOrderCommand:
         assert out.strip().split("\n")[1].split(",")[2] == "500"
 
 
+@pytest.fixture
+def dated_csv(tmp_path):
+    # 2,000 consecutive days from 2000-01-01 to 2005-06-22
+    rng = np.random.default_rng(1002)
+    days = np.datetime64("2000-01-01") + np.arange(2000)
+    lines = ["date,a,b"] + [f"{d},{x!r},{y!r}" for d, x, y in
+                             zip(days.astype(str), rng.random(2000).tolist(),
+                                 rng.random(2000).tolist())]
+    path = tmp_path / "dated.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestDateFilters:
+    ARGS = ("second-order", "--x", "a", "--y", "b", "--dry", "0", "--quantile", "0")
+
+    def test_range_outside_data_exit_3(self, dated_csv, capsys):
+        code, _, err = run_cli(capsys, *self.ARGS, "--data", dated_csv, "--date-col", "date",
+                               "--date-from", "2030-01-01", "--date-to", "2030-12-31")
+        assert code == 3
+        assert "only 0 rows" in err
+
+    def test_one_year_range(self, dated_csv, capsys):
+        code, out, _ = run_cli(capsys, *self.ARGS, "--data", dated_csv, "--date-col", "date",
+                               "--date-from", "2001-01-01", "--date-to", "2001-12-31")
+        assert code == 0
+        assert out.strip().split("\n")[1].split(",")[3] == "365"
+
+    @pytest.mark.parametrize("flt", [("--month", "6"), ("--date-from", "2001-01-01"),
+                                     ("--date-to", "2001-12-31")])
+    def test_date_filter_without_date_col_exit_3(self, dated_csv, capsys, flt):
+        code, _, err = run_cli(capsys, *self.ARGS, "--data", dated_csv, *flt)
+        assert code == 3
+        assert "no date column" in err
+
+
 class TestOracleCommand:
     def test_identities_hold(self, capsys):
         for n, seed in ((20, 1), (77, 12345), (100, 9)):

@@ -93,6 +93,8 @@ class TestKernel:
             m_ab(np.array([0.0, 1.0, 2.0]), 2, 0.0, 0.0)
         with pytest.raises(ValueError):
             m_ab(TAIL_842, 2, 0.0, 0.0)  # wrong tail length
+        with pytest.raises(NumericDomainError, match="overflows"):
+            m_ab(np.array([1.0, 2.0, 3.0]), 2, 0.0, 1000.0)
 
 
 class TestParametrizations:

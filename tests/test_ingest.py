@@ -112,6 +112,21 @@ class TestIngest:
         assert sample.n == 200
         assert all(lab.month == 6 for lab in sample.labels)
 
+    @pytest.mark.parametrize("flt", [{"month": 6}, {"date_from": "2001-06-01"},
+                                     {"date_to": "2001-06-30"}])
+    def test_date_filter_needs_date_column(self, rainfall_csv, flt):
+        with pytest.raises(DataError, match="no date column"):
+            spec_for(rainfall_csv, **flt)
+
+    def test_date_range_filter(self, tmp_path):
+        rows = [f"2001-06-{i % 30 + 1:02d},{2 + 0.01 * i:.3f},{3 + 0.01 * i:.3f}"
+                for i in range(300)]
+        path = write_csv(tmp_path / "june.csv", rows)
+        sample = ingest(spec_for(path, date_col="date", date_from="2001-06-11",
+                                 date_to="2001-06-20", quantile_filter=0.0))
+        assert sample.n == 100
+        assert {lab.day for lab in sample.labels} == set(range(11, 21))
+
     def test_either_variant_keeps_more(self, rainfall_csv):
         both = ingest(spec_for(rainfall_csv))
         either = ingest(spec_for(rainfall_csv, either=True))

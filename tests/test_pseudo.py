@@ -36,7 +36,21 @@ class TestRanks:
         rx2, _ = compute_ranks(s, TiePolicy.JITTER, jitter_seed=5)
         assert_array_equal(rx1, rx2)
         assert sorted(rx1) == [1, 2, 3, 4]
-        assert rx1[3] == 4  # noise at 1e-9 scale cannot flip a gap of 3
+        assert rx1[3] == 4  # ties are reordered, distinct values never
+
+    def test_tie_jitter_at_large_magnitude(self):
+        # ties near 1e8 sit far below the spacing of their neighbours
+        u = np.random.default_rng(8).random(500)
+        x = 1e8 + np.round(u, 1)
+        s = _sample(x, np.arange(500))
+        first, _ = compute_ranks(s, TiePolicy.FIRST_OCCURRENCE)
+        rx1, _ = compute_ranks(s, TiePolicy.JITTER, jitter_seed=3)
+        rx2, _ = compute_ranks(s, TiePolicy.JITTER, jitter_seed=3)
+        assert_array_equal(rx1, rx2)
+        assert not np.array_equal(rx1, first)
+        by_rank = np.empty_like(x)
+        by_rank[rx1 - 1] = x
+        assert (np.diff(by_rank) >= 0).all()
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60, unique=True))
     @settings(max_examples=60, deadline=None)

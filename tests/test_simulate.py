@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from residualdep import BivariateSample, CopulaModel, EstimatorSpec, KstarRule, Margin, \
-    PseudoSample, SecondOrderSpec, StudyConfig, config_from_dict, emit_report, eta_hat, \
-    load_config, replicate_generator, run_study, sample_copula
+    ParameterDomainError, PseudoSample, SecondOrderSpec, StudyConfig, config_from_dict, \
+    emit_report, eta_hat, load_config, replicate_generator, run_study, sample_copula
 from residualdep.simulate import CSV_COLUMNS, DEFAULT_Q_GRID
 
 
@@ -107,6 +107,29 @@ class TestRunStudy:
         assert cell.mean == pytest.approx(np.mean(vals), abs=1e-14)
         assert cell.variance == pytest.approx(np.var(vals), abs=1e-14)
 
+    def test_cell_lookup(self):
+        report = run_study(small_config(N=2, q_grid=(0.5, 0.9, 1.0, 1.5), k_grid=(6, 12, 30)))
+        for cell in report.cells:
+            assert report.cell(cell.estimator, Margin(cell.margin), cell.q, cell.k) is cell
+        with pytest.raises(KeyError):
+            report.cell("raw", "pareto_t", 0.95, 12)  # q not in the grid
+        with pytest.raises(KeyError):
+            report.cell("reduced", "pareto_t", 1.0, 12)  # reduced runs on frechet_shifted only
+        with pytest.raises(KeyError):
+            report.cell("reduced", "frechet_shifted", 1.5, 31)
+
+    def test_repeated_grid_entries_give_one_row_per_cell(self):
+        messy = small_config(N=3, q_grid=(1.5, 0.9, 1.0, 0.9, 1.5),
+                             margins=("pareto_t", "frechet_shifted", "pareto_t"))
+        clean = small_config(N=3, q_grid=(0.9, 1.0, 1.5),
+                             margins=("frechet_shifted", "pareto_t"))
+        assert messy.q_grid == clean.q_grid and messy.margins == clean.margins
+        report = run_study(messy)
+        assert len(report.cells) == 3 * 2 * 2 + 3 * 2  # raw on two margins, then reduced
+        keys = [(c.estimator, c.margin, c.q, c.k) for c in report.cells]
+        assert len(set(keys)) == len(keys)
+        assert emit_report(report) == emit_report(run_study(clean))
+
     def test_worker_counts_agree(self):
         cfg = small_config(N=8)
         r1 = run_study(cfg, workers=1)
@@ -121,10 +144,10 @@ class TestRunStudy:
     def test_replicate_independence_streaming_vs_direct(self):
         # dropping any replicate: direct nan-aggregation of the remaining
         # values matches the streaming accumulators
-        from residualdep.simulate import _build_cells, _evaluate_replicate, _merge_stream
+        from residualdep.simulate import _evaluate_replicate, _grid, _merge_stream
         cfg = small_config(N=7)
-        cells = _build_cells(cfg)
-        values = [_evaluate_replicate(cfg, cells, r) for r in range(cfg.N)]
+        grid = _grid(cfg)
+        values = [_evaluate_replicate(cfg, grid, r) for r in range(cfg.N)]
         truth = cfg.model.true_eta
         for drop in range(cfg.N):
             kept = [v for r, v in enumerate(values) if r != drop]
@@ -145,6 +168,25 @@ class TestRunStudy:
             else:
                 assert cell.n_ok == 5
                 assert math.isnan(cell.bias)  # no ground truth to compare against
+        u, v = sample_copula(cfg.model, cfg.n, replicate_generator(cfg.master_seed, 0))
+        pseudo = PseudoSample.from_sample(BivariateSample(u, v))
+        with pytest.raises(ParameterDomainError, match="no ground truth"):
+            cfg.second_order.resolve(cfg.model, pseudo)
+
+    @pytest.mark.parametrize("exc", [ValueError, ZeroDivisionError])
+    def test_programming_errors_propagate(self, monkeypatch, exc):
+        # only package domain errors become n_fail; anything else is a bug
+        def broken(*args):
+            raise exc("broken kernel")
+
+        monkeypatch.setattr("residualdep.simulate.eta_hat", broken)
+        with pytest.raises(exc, match="broken kernel"):
+            run_study(small_config(N=2))
+
+    def test_kernel_overflow_counted_as_failure(self):
+        # q = 1e-6 gives b = 999999, where M_{a,b} overflows: a domain error
+        report = run_study(small_config(N=2, q_grid=(1e-6,), margins=("pareto_t",)))
+        assert all(cell.n_fail == 2 and math.isnan(cell.mean) for cell in report.cells)
 
     def test_reduced_cells_obey_kstar_cap(self):
         cfg = small_config(kstar_rule="9")
@@ -166,6 +208,7 @@ class TestEmitReport:
             keys.append((row[0], row[1], float(row[2]), float(row[3]), float(row[4]),
                          int(row[5])))
         assert keys == sorted(keys)
+        assert keys == [(c.estimator, c.margin, c.q, c.a, c.b, c.k) for c in report.cells]
 
     def test_empty_grid_header_only(self):
         cfg = small_config(k_grid=())
@@ -177,9 +220,8 @@ class TestEmitReport:
         report = run_study(small_config(N=4))
         text = emit_report(report, fmt)
         rows = _parse(text, fmt)
-        cells = sorted(report.cells, key=lambda c: (c.estimator, c.margin, c.q, c.a, c.b, c.k))
-        assert len(rows) == len(cells)
-        for row, cell in zip(rows, cells):
+        assert len(rows) == len(report.cells)
+        for row, cell in zip(rows, report.cells):
             assert row["estimator"] == cell.estimator and row["margin"] == cell.margin
             assert row["k"] == cell.k and row["n_ok"] == cell.n_ok
             assert row["kstar"] == (cell.kstar if cell.kstar is not None else None)
