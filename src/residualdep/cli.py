@@ -12,19 +12,25 @@ Exit codes: 0 ok, 2 usage, 3 data problem, 4 numeric-domain problem.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
 import numpy as np
 
-from .bias import SecondOrderParams, SecondOrderSource, default_k0, \
-    estimate_second_order, reduced_bias_eta
+from .bias import estimate_second_order
 from .copulas import replicate_generator
 from .errors import DataError, NumericDomainError, ResidualDepError
-from .estimators import EstimatorSpec, Margin, confidence_interval, eta_hat, m_ab
+from .estimators import Margin, confidence_interval, m_ab
 from .ingest import IngestionSpec, ingest
 from .pseudo import BivariateSample, PseudoSample, TiePolicy, joint_exceedance_count
-from .simulate import KstarRule, load_config, run_study, write_report
+from .simulate import KstarRule, SecondOrderSpec, cell_grid, evaluate_cells, load_config, \
+    run_study, write_report
+
+# Not called here (``estimate`` reaches both through ``simulate``), but the
+# benchmark's tracer, bench/runner.py, wraps them under these names.
+from .bias import reduced_bias_eta  # noqa: F401
+from .estimators import eta_hat  # noqa: F401
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -61,16 +67,16 @@ def _ingest_from_args(args) -> tuple[BivariateSample, PseudoSample]:
         path=args.data, x_col=args.x, y_col=args.y, date_col=args.date_col,
         dry_threshold=args.dry, quantile_filter=args.quantile, month=args.month,
         date_from=args.date_from, date_to=args.date_to,
-        either=args.either, tie_policy=TiePolicy(args.ties), **kwargs,
+        either=args.either, **kwargs,
     )
     sample = ingest(spec)
-    return sample, PseudoSample.from_sample(sample, spec.tie_policy)
+    return sample, PseudoSample.from_sample(sample, TiePolicy(args.ties))
 
 
 def _out_stream(path):
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def cmd_simulate(args) -> int:
@@ -92,69 +98,38 @@ def cmd_estimate(args) -> int:
         raise NumericDomainError(f"--level must lie in (0, 1), got {args.level}")
     sample, pseudo = _ingest_from_args(args)
     n = sample.n
-    q_list = [float(tok) for tok in args.q.split(",")]
-    if 1.0 not in q_list:
-        q_list.append(1.0)  # Hill reference path is always reported
+    q_grid = sorted({float(tok) for tok in args.q.split(",")} | {1.0})  # Hill is always reported
     k_max = min(max(1, int(n * args.k_max)), n - 1)
-    ks = list(range(1, k_max + 1))
-    margin = Margin(args.margin)
-
+    grid = cell_grid([Margin(args.margin)], q_grid, range(1, k_max + 1),
+                     KstarRule.parse(args.kstar), n, args.reduce_bias)
     so = None
     if args.reduce_bias:
-        so = _second_order_from_args(args, pseudo)
-    kstar_rule = KstarRule.parse(args.kstar)
+        mode = "per_replicate" if args.tau is None and args.beta is None else "user"
+        so = SecondOrderSpec(mode, args.tau, args.beta, args.k0).resolve(None, pseudo)
+    etas = evaluate_cells(pseudo, grid, so)
 
-    stream, close = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as stream:
         print("q,k,k_over_n,eta,ci_low,ci_high,margin,reduced", file=stream)
-        for q in sorted(q_list):
-            spec = EstimatorSpec.conjugate(q, margin=margin)
-            for k in ks:
-                eta = eta_hat(pseudo, k, spec)
-                try:
-                    low, high = confidence_interval(eta, k, spec.a, args.level)
-                    ci = f"{_fmt(low)},{_fmt(high)}"
-                except (NumericDomainError, ValueError):
-                    ci = ","
-                print(f"{q:g},{k},{k / n:g},{_fmt(eta)},{ci},{margin.value},false",
-                      file=stream)
-        if args.reduce_bias:
-            for q in sorted(q_list):
-                a = EstimatorSpec.conjugate(q).a
-                for k in ks:
-                    kstar = kstar_rule.resolve(n, k)
-                    try:
-                        est = reduced_bias_eta(pseudo, k, kstar, a, so, args.level)
-                    except (ResidualDepError, ValueError):
-                        continue
-                    ci = f"{_fmt(est.ci_low)},{_fmt(est.ci_high)}"
-                    print(f"{q:g},{k},{k / n:g},{_fmt(est.eta)},{ci},"
-                          f"{Margin.FRECHET_SHIFTED.value},true", file=stream)
-    finally:
-        if close:
-            stream.close()
+        for (estimator, spec, k, _), eta in zip(grid, etas.tolist()):
+            try:
+                low, high = confidence_interval(eta, k, spec.a, args.level)
+            except NumericDomainError:
+                low = high = math.nan
+            print(f"{spec.q:g},{k},{k / n:g},{_fmt(eta)},{_fmt(low)},{_fmt(high)},"
+                  f"{spec.margin.value},{str(estimator == 'reduced').lower()}", file=stream)
+    failed = int(np.isnan(etas).sum())
+    if failed:
+        print(f"warning: {failed} of {len(grid)} cells hit a domain error; "
+              "their eta and CI fields are empty", file=sys.stderr)
     return EXIT_OK
-
-
-def _second_order_from_args(args, pseudo) -> SecondOrderParams:
-    if (args.tau is None) != (args.beta is None):
-        raise NumericDomainError("--tau and --beta must be given together")
-    if args.tau is not None:
-        return SecondOrderParams(tau_hat=args.tau, beta_hat=args.beta, k0=0,
-                                 source=SecondOrderSource.USER_SUPPLIED)
-    return estimate_second_order(pseudo, args.k0)
 
 
 def cmd_second_order(args) -> int:
     sample, pseudo = _ingest_from_args(args)
     so = estimate_second_order(pseudo, args.k0)
-    stream, close = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as stream:
         print("tau_hat,beta_hat,k0,n", file=stream)
         print(f"{_fmt(so.tau_hat)},{_fmt(so.beta_hat)},{so.k0},{sample.n}", file=stream)
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 

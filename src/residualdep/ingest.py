@@ -16,7 +16,7 @@ from datetime import date
 import numpy as np
 
 from .errors import DataError
-from .pseudo import BivariateSample, TiePolicy
+from .pseudo import BivariateSample
 
 __all__ = ["IngestionSpec", "ingest", "empirical_quantile"]
 
@@ -36,7 +36,6 @@ class IngestionSpec:
     date_from: date | None = None
     date_to: date | None = None
     either: bool = False  # retain rows where either margin exceeds, not both
-    tie_policy: TiePolicy = TiePolicy.FIRST_OCCURRENCE
 
     def __post_init__(self):
         if not 0.0 <= self.quantile_filter < 1.0:
@@ -47,10 +46,15 @@ class IngestionSpec:
             dated = [f for f in ("month", "date_from", "date_to") if getattr(self, f) is not None]
             if dated:
                 raise DataError(f"{', '.join(dated)} filters dates, but no date column is set")
+        if self.month is not None and not 1 <= self.month <= 12:
+            raise DataError(f"month must lie in 1..12, got {self.month}")
         for attr in ("date_from", "date_to"):
             value = getattr(self, attr)
             if isinstance(value, str):
-                object.__setattr__(self, attr, date.fromisoformat(value))
+                try:
+                    object.__setattr__(self, attr, date.fromisoformat(value))
+                except ValueError as exc:
+                    raise DataError(f"{attr} {value!r} is not an ISO date: {exc}") from None
 
     def _keeps_date(self, label: date) -> bool:
         if self.month is not None and label.month != self.month:

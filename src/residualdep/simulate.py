@@ -36,6 +36,8 @@ __all__ = [
     "StudyConfig",
     "CellResult",
     "SimulationReport",
+    "cell_grid",
+    "evaluate_cells",
     "run_study",
     "emit_report",
     "write_report",
@@ -122,7 +124,7 @@ class SecondOrderSpec:
         if self.mode not in ("per_replicate", "oracle", "user"):
             raise ValueError(f"unknown second-order mode {self.mode!r}")
         if self.mode == "user" and (self.tau is None or self.beta is None):
-            raise ValueError("second-order mode 'user' requires both tau and beta")
+            raise ValueError("second-order mode 'user' needs tau and beta given together")
 
     def resolve(self, model: CopulaModel, pseudo: PseudoSample) -> SecondOrderParams:
         if self.mode == "per_replicate":
@@ -249,32 +251,26 @@ def load_config(path, master_seed: int | None = None) -> StudyConfig:
 
 # --- the study grid ---------------------------------------------------------
 
-def _grid(config: StudyConfig) -> list[tuple]:
-    """(estimator, spec, k, kstar) for every cell, in report row order.
+def cell_grid(margins, q_grid, k_grid, kstar_rule: KstarRule, n: int,
+              reduced: bool) -> list[tuple]:
+    """(estimator, spec, k, kstar) for every cell; sorted grids give report row order.
 
-    Raw cells on each margin come first, then the reduced-bias cells on
-    the shifted-Frechet margin ("raw" sorts before "reduced"); the sorted
-    config grids order the rest.
+    Raw cells on each margin come first, then, if ``reduced``, the reduced-bias
+    cells, which are on the shifted-Frechet margin whatever ``margins`` holds.
     """
-    specs = [EstimatorSpec.conjugate(q, margin=m) for m in config.margins for q in config.q_grid]
-    grid = [("raw", spec, k, None) for spec in specs for k in config.k_grid]
-    grid += [("reduced", spec, k, config.kstar_rule.resolve(config.n, k))
-             for spec in specs if spec.margin is Margin.FRECHET_SHIFTED
-             for k in config.k_grid]
+    raw = [EstimatorSpec.conjugate(q, margin=m) for m in margins for q in q_grid]
+    grid = [("raw", spec, k, None) for spec in raw for k in k_grid]
+    if reduced:
+        shifted = [EstimatorSpec.conjugate(q, margin=Margin.FRECHET_SHIFTED) for q in q_grid]
+        grid += [("reduced", spec, k, kstar_rule.resolve(n, k))
+                 for spec in shifted for k in k_grid]
     return grid
 
 
-def _evaluate_replicate(config: StudyConfig, grid: list[tuple], r: int) -> np.ndarray:
-    """Estimates of replicate r on every cell; NaN where a domain error occurred."""
-    rng = replicate_generator(config.master_seed, r)
-    u, v = sample_copula(config.model, config.n, rng)
-    pseudo = PseudoSample.from_sample(BivariateSample(u, v))
-    so = None
-    if any(cell[0] == "reduced" for cell in grid):
-        try:
-            so = config.second_order.resolve(config.model, pseudo)
-        except ResidualDepError:
-            pass
+def evaluate_cells(pseudo: PseudoSample, grid: list[tuple],
+                   so: SecondOrderParams | None) -> np.ndarray:
+    """Estimates of one sample on every cell; NaN on a domain error, and on
+    every reduced-bias cell when ``so`` is None."""
     out = np.empty(len(grid))
     for j, (estimator, spec, k, kstar) in enumerate(grid):
         try:
@@ -287,6 +283,20 @@ def _evaluate_replicate(config: StudyConfig, grid: list[tuple], r: int) -> np.nd
         except ResidualDepError:
             out[j] = math.nan
     return out
+
+
+def _evaluate_replicate(config: StudyConfig, grid: list[tuple], r: int) -> np.ndarray:
+    """Estimates of replicate r on every cell of ``grid``."""
+    rng = replicate_generator(config.master_seed, r)
+    u, v = sample_copula(config.model, config.n, rng)
+    pseudo = PseudoSample.from_sample(BivariateSample(u, v))
+    so = None
+    if any(cell[0] == "reduced" for cell in grid):
+        try:
+            so = config.second_order.resolve(config.model, pseudo)
+        except ResidualDepError:
+            pass
+    return evaluate_cells(pseudo, grid, so)
 
 
 # --- order-insensitive moment merging ---------------------------------------
@@ -401,7 +411,8 @@ def run_study(config: StudyConfig, *, workers: int = 1) -> SimulationReport:
     the per-replicate streams and the fixed-order aggregation tree make the
     report bit-identical for any worker count.
     """
-    grid = _grid(config)
+    grid = cell_grid(config.margins, config.q_grid, config.k_grid, config.kstar_rule,
+                     config.n, Margin.FRECHET_SHIFTED in config.margins)
     truth = config.model.true_eta if config.model.true_eta is not None else math.nan
     evaluate = partial(_evaluate_replicate, config, grid)
     if workers <= 1 or config.N == 1:

@@ -1,7 +1,9 @@
 import csv
+import importlib
 import io
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -159,6 +161,42 @@ class TestEstimateCommand:
         )
         assert code == 4 and "together" in err
 
+    def test_repeated_q_printed_once(self, uniform_csv, capsys):
+        args = ("estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+                "--dry", "0", "--quantile", "0", "--k-max", "0.01")
+        _, twice, _ = run_cli(capsys, *args, "--q", "0.5,0.5")
+        _, once, _ = run_cli(capsys, *args, "--q", "0.5")
+        assert twice == once
+        rows = parse_estimate_csv(twice)
+        assert len({(r["q"], r["k"]) for r in rows}) == len(rows) == 2 * 20
+
+    def test_failed_cells_written_empty(self, uniform_csv, capsys):
+        # q = 1e-6 makes M_(a,b) overflow on every k; the q = 1 path is unaffected
+        args = ("estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+                "--dry", "0", "--quantile", "0", "--k-max", "0.01")
+        code, out, err = run_cli(capsys, *args, "--q", "1e-6,1")
+        assert code == 0
+        rows = parse_estimate_csv(out)
+        failed = [r for r in rows if r["q"] == "1e-06"]
+        assert len(failed) == 20
+        assert all(r["eta"] == r["ci_low"] == r["ci_high"] == "" for r in failed)
+        assert "20 of 40 cells" in err
+        _, hill_only, hill_err = run_cli(capsys, *args, "--q", "1")
+        assert [r for r in rows if r["q"] == "1"] == parse_estimate_csv(hill_only)
+        assert hill_err == ""
+
+    def test_reduced_rows_on_shifted_frechet_whatever_margin(self, uniform_csv, capsys):
+        code, out, _ = run_cli(
+            capsys, "estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+            "--dry", "0", "--quantile", "0", "--q", "1", "--k-max", "0.02",
+            "--margin", "pareto_t", "--reduce-bias", "--tau", "0.5", "--beta", "0",
+        )
+        assert code == 0
+        rows = parse_estimate_csv(out)
+        assert {r["margin"] for r in rows if r["reduced"] == "false"} == {"pareto_t"}
+        assert {r["margin"] for r in rows if r["reduced"] == "true"} == {"frechet_shifted"}
+        assert sum(r["reduced"] == "true" for r in rows) == 40
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--data"])
@@ -222,6 +260,14 @@ class TestDateFilters:
         assert code == 3
         assert "no date column" in err
 
+    @pytest.mark.parametrize("flt", [("--date-from", "2001-13-01"), ("--date-to", "2001-02-30"),
+                                     ("--month", "13")])
+    def test_malformed_date_filter_exit_3(self, dated_csv, capsys, flt):
+        code, _, err = run_cli(capsys, *self.ARGS, "--data", dated_csv, "--date-col", "date",
+                               *flt)
+        assert code == 3
+        assert flt[1] in err
+
 
 class TestOracleCommand:
     def test_identities_hold(self, capsys):
@@ -235,3 +281,14 @@ class TestOracleCommand:
     def test_oversized_n_exit_4(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--n", "5000", "--seed", "1")
         assert code == 4
+
+
+def test_benchmark_traced_names_exist(monkeypatch):
+    # bench/runner.py wraps these functions by name; a refactor that drops
+    # one would otherwise only surface in a traced benchmark run
+    bench_dir = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench_dir))
+    runner = importlib.import_module("runner")
+    for _, places in runner.TRACED:
+        for module, attr in places:
+            assert hasattr(module, attr), f"{module.__name__}.{attr}"

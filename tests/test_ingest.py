@@ -118,6 +118,16 @@ class TestIngest:
         with pytest.raises(DataError, match="no date column"):
             spec_for(rainfall_csv, **flt)
 
+    @pytest.mark.parametrize("flt, match", [
+        ({"date_from": "2001-13-01"}, "date_from '2001-13-01'"),
+        ({"date_to": "June 2001"}, "date_to 'June 2001'"),
+        ({"month": 0}, "month must lie in 1..12"),
+        ({"month": 13}, "month must lie in 1..12"),
+    ])
+    def test_malformed_date_filter_is_data_error(self, rainfall_csv, flt, match):
+        with pytest.raises(DataError, match=match):
+            spec_for(rainfall_csv, date_col="date", **flt)
+
     def test_date_range_filter(self, tmp_path):
         rows = [f"2001-06-{i % 30 + 1:02d},{2 + 0.01 * i:.3f},{3 + 0.01 * i:.3f}"
                 for i in range(300)]

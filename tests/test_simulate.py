@@ -144,9 +144,9 @@ class TestRunStudy:
     def test_replicate_independence_streaming_vs_direct(self):
         # dropping any replicate: direct nan-aggregation of the remaining
         # values matches the streaming accumulators
-        from residualdep.simulate import _evaluate_replicate, _grid, _merge_stream
+        from residualdep.simulate import _evaluate_replicate, _merge_stream, cell_grid
         cfg = small_config(N=7)
-        grid = _grid(cfg)
+        grid = cell_grid(cfg.margins, cfg.q_grid, cfg.k_grid, cfg.kstar_rule, cfg.n, True)
         values = [_evaluate_replicate(cfg, grid, r) for r in range(cfg.N)]
         truth = cfg.model.true_eta
         for drop in range(cfg.N):
