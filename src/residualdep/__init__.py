@@ -8,12 +8,13 @@ driven by second-order parameter estimates, a reproducible Monte Carlo
 harness, and CSV ingestion for applied analyses.
 """
 from .bias import SecondOrderParams, SecondOrderSource, corrected_eta, default_k0, \
-    effective_tau, estimate_second_order, reduced_bias_eta
+    effective_tau, estimate_second_order, reduced_bias_eta, reduced_bias_path
 from .copulas import CopulaModel, Family, copula_cdf, replicate_generator, sample_copula
 from .errors import ConstraintError, DataError, EstimationError, NumericDomainError, \
     ParameterDomainError, ResidualDepError, TieError, VarianceDomainError
 from .estimators import EstimatorSpec, EtaEstimate, Margin, asymptotic_bias, \
-    asymptotic_variance, confidence_interval, eta_hat, m_ab, point_estimate, tail_slice
+    asymptotic_variance, confidence_interval, eta_hat, m_ab, m_ab_path, point_estimate, \
+    tail_slice
 from .ingest import IngestionSpec, empirical_quantile, ingest
 from .pseudo import BivariateSample, PseudoSample, TiePolicy, compute_ranks, \
     frechet_pseudo, joint_exceedance_count, pareto_pseudo, shift_half
@@ -65,9 +66,11 @@ __all__ = [
     "joint_exceedance_count",
     "load_config",
     "m_ab",
+    "m_ab_path",
     "pareto_pseudo",
     "point_estimate",
     "reduced_bias_eta",
+    "reduced_bias_path",
     "replicate_generator",
     "run_study",
     "sample_copula",

@@ -21,9 +21,14 @@ import numpy as np
 
 from .errors import ConstraintError, DataError, EstimationError, NumericDomainError, \
     ParameterDomainError
-from .estimators import EstimatorSpec, EtaEstimate, Margin, asymptotic_variance, \
-    confidence_interval, eta_hat
+from .estimators import EtaEstimate, Margin, asymptotic_variance, confidence_interval, \
+    m_ab_path
 from .pseudo import PseudoSample
+
+# Not called here (the reduced-bias estimate reaches the kernel through
+# ``m_ab_path``), but the benchmark's tracer, bench/runner.py, wraps it under
+# this name.
+from .estimators import eta_hat  # noqa: F401
 
 __all__ = [
     "SecondOrderSource",
@@ -32,6 +37,7 @@ __all__ = [
     "default_k0",
     "estimate_second_order",
     "corrected_eta",
+    "reduced_bias_path",
     "reduced_bias_eta",
 ]
 
@@ -149,6 +155,14 @@ def _beta_companion(log_t: np.ndarray, n: int, k0: int, tau: float) -> float:
     return (k0 / n) ** rho * (d_rho * big_d0 - big_dr) / denom
 
 
+def _corrected(eta_s, a: float, tau: float, beta_term, v_kstar):
+    # the correction, elementwise; NaN where eta_s is NaN or 1 - a*eta_s + tau <= 0
+    denom = 1.0 - a * eta_s + tau
+    denom = np.where(denom > 0.0, denom, np.nan)
+    correction = (beta_term + 1.0 / (1.0 + 2.0 * v_kstar)) * (1.0 - a * eta_s) / denom
+    return eta_s * (1.0 - correction)
+
+
 def corrected_eta(eta_s: float, a: float, tau: float, beta_term: float,
                   v_kstar: float) -> float:
     """Plug-in arithmetic of the reduced-bias correction.
@@ -157,11 +171,27 @@ def corrected_eta(eta_s: float, a: float, tau: float, beta_term: float,
     statistic V_(n, n-k*).  Raises when the denominator 1 - a*eta + tau
     is not positive.
     """
-    denom = 1.0 - a * eta_s + tau
-    if denom <= 0.0:
-        raise NumericDomainError(f"1 - a*eta + tau = {denom:.6g} <= 0 in bias correction")
-    correction = (beta_term + 1.0 / (1.0 + 2.0 * v_kstar)) * (1.0 - a * eta_s) / denom
-    return eta_s * (1.0 - correction)
+    eta_rb = float(_corrected(eta_s, a, tau, beta_term, v_kstar))
+    if math.isnan(eta_rb):
+        raise NumericDomainError(
+            f"1 - a*eta + tau = {1.0 - a * eta_s + tau:.6g} <= 0 in bias correction")
+    return eta_rb
+
+
+def reduced_bias_path(pseudo: PseudoSample, ks, kstars, a: float,
+                      so: SecondOrderParams) -> np.ndarray:
+    """Reduced-bias estimates of eta at every (k, k*) pair; NaN where undefined.
+
+    The base estimates come from one ``m_ab_path`` call on the V* order
+    statistics.  The pairs are taken as given: ``reduced_bias_eta`` is the
+    single-pair view that checks k* against sqrt(k).
+    """
+    ks = np.asarray(ks, dtype=np.intp)
+    n = pseudo.n
+    eta_s = m_ab_path(pseudo.vstar_sorted, ks, a, -a)
+    beta_term = so.beta_hat * (n / ks) ** (-so.tau_hat)
+    v_kstar = pseudo.v_sorted[n - 1 - np.asarray(kstars, dtype=np.intp)]
+    return _corrected(eta_s, a, so.tau_hat, beta_term, v_kstar)
 
 
 def reduced_bias_eta(pseudo: PseudoSample, k: int, k_star: int, a: float,
@@ -188,11 +218,12 @@ def reduced_bias_eta(pseudo: PseudoSample, k: int, k_star: int, a: float,
             f"k_star = {k_star} exceeds sqrt(k) = sqrt({k}); the correction is "
             "only valid for k_star <= sqrt(k)"
         )
-    spec = EstimatorSpec.from_ab(a, -a, margin=Margin.FRECHET_SHIFTED)
-    eta_s = eta_hat(pseudo, k, spec)
-    beta_term = so.beta_hat * (n / k) ** (-so.tau_hat)
-    v_kstar = float(pseudo.v_sorted[n - 1 - k_star])
-    eta_rb = corrected_eta(eta_s, a, so.tau_hat, beta_term, v_kstar)
+    eta_rb = float(reduced_bias_path(pseudo, [k], [k_star], a, so)[0])
+    if math.isnan(eta_rb):
+        raise NumericDomainError(
+            f"reduced-bias estimate undefined at a={a}, k={k}: M_(a,-a) overflows "
+            "or 1 - a*eta + tau <= 0"
+        )
     try:
         variance = asymptotic_variance(a, eta_rb) / k
         low, high = confidence_interval(eta_rb, k, a, level)

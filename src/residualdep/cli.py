@@ -24,8 +24,8 @@ from .errors import DataError, NumericDomainError, ResidualDepError
 from .estimators import Margin, confidence_interval, m_ab
 from .ingest import IngestionSpec, ingest
 from .pseudo import BivariateSample, PseudoSample, TiePolicy, joint_exceedance_count
-from .simulate import KstarRule, SecondOrderSpec, cell_grid, evaluate_cells, load_config, \
-    run_study, write_report
+from .simulate import KstarRule, SecondOrderSpec, cell_grid, evaluate_cells, grid_cells, \
+    load_config, run_study, write_report
 
 # Not called here (``estimate`` reaches both through ``simulate``), but the
 # benchmark's tracer, bench/runner.py, wraps them under these names.
@@ -101,7 +101,7 @@ def cmd_estimate(args) -> int:
     q_grid = sorted({float(tok) for tok in args.q.split(",")} | {1.0})  # Hill is always reported
     k_max = min(max(1, int(n * args.k_max)), n - 1)
     grid = cell_grid([Margin(args.margin)], q_grid, range(1, k_max + 1),
-                     KstarRule.parse(args.kstar), n, args.reduce_bias)
+                     KstarRule.parse(args.kstar or "pow0.3"), n, args.reduce_bias)
     so = None
     if args.reduce_bias:
         mode = "per_replicate" if args.tau is None and args.beta is None else "user"
@@ -110,7 +110,7 @@ def cmd_estimate(args) -> int:
 
     with _out_stream(args.out) as stream:
         print("q,k,k_over_n,eta,ci_low,ci_high,margin,reduced", file=stream)
-        for (estimator, spec, k, _), eta in zip(grid, etas.tolist()):
+        for (estimator, spec, k, _), eta in zip(grid_cells(grid), etas.tolist()):
             try:
                 low, high = confidence_interval(eta, k, spec.a, args.level)
             except NumericDomainError:
@@ -119,7 +119,7 @@ def cmd_estimate(args) -> int:
                   f"{spec.margin.value},{str(estimator == 'reduced').lower()}", file=stream)
     failed = int(np.isnan(etas).sum())
     if failed:
-        print(f"warning: {failed} of {len(grid)} cells hit a domain error; "
+        print(f"warning: {failed} of {len(etas)} cells hit a domain error; "
               "their eta and CI fields are empty", file=sys.stderr)
     return EXIT_OK
 
@@ -202,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", default=Margin.FRECHET_SHIFTED.value,
                    choices=[m.value for m in Margin])
     p.add_argument("--reduce-bias", action="store_true", dest="reduce_bias")
-    p.add_argument("--kstar", default="pow0.3", help="k* rule: powP, sqrtk, or an integer")
+    p.add_argument("--kstar", default=None,
+                   help="k* rule: powP, sqrtk, or an integer (default pow0.3)")
     p.add_argument("--tau", type=float, default=None, help="user-supplied tau")
     p.add_argument("--beta", type=float, default=None, help="user-supplied beta")
     p.add_argument("--k0", type=int, default=None,
@@ -226,8 +227,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# estimate flags that only act on the reduced-bias rows
+_REDUCE_BIAS_FLAGS = ("tau", "beta", "kstar", "k0")
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.func is cmd_estimate and not args.reduce_bias:
+        unused = [f"--{name}" for name in _REDUCE_BIAS_FLAGS if getattr(args, name) is not None]
+        if unused:
+            parser.error(f"estimate: {', '.join(unused)}: no effect without --reduce-bias")
     try:
         return args.func(args)
     except DataError as exc:

@@ -34,7 +34,9 @@ __all__ = [
     "Margin",
     "EstimatorSpec",
     "EtaEstimate",
+    "m_ab_path",
     "m_ab",
+    "sorted_margin",
     "eta_hat",
     "point_estimate",
     "asymptotic_variance",
@@ -95,8 +97,51 @@ class EstimatorSpec:
         return self.a == 0.0 and self.b == 0.0
 
 
+def m_ab_path(tail: np.ndarray, ks, a: float, b: float) -> np.ndarray:
+    """Evaluate M_{a,b} at every k of ``ks`` (each in 1 .. len(tail) - 1).
+
+    Entry j is M_{a,b} over the top ``ks[j]`` values of the ascending,
+    positive ``tail`` above the threshold ``tail[-ks[j] - 1]``, or NaN where
+    that is not finite.  With L_0 >= L_1 >= ... the descending logs,
+
+        log A_a(k) = log1p(S_k / k) / a + (L_0 - L_k),
+        S_k = sum_{i<k} expm1(a (L_i - L_0)),
+
+    and the a = 0 (log-limit) member is sum_{i<k} (L_i - L_0) / k + (L_0 - L_k),
+    so one cumulative sum serves every k.  The anchor L_0 is the top value,
+    which makes entry j depend on ``tail[-ks[j] - 1:]`` alone.  For a < 0 the
+    terms grow with i; prefix sums past the float range are taken in log
+    space instead.
+    """
+    ks = np.asarray(ks, dtype=np.intp)
+    if ks.size == 0:
+        return np.empty(0)
+    tail = np.asarray(tail, dtype=float)
+    top = int(ks.max())
+    if ks.min() < 1 or top >= len(tail):
+        raise ValueError(f"need 1 <= k <= {len(tail) - 1} for {len(tail)} values, "
+                         f"got k in {ks.min()}..{top}")
+    with np.errstate(all="ignore"):
+        logs = np.log(tail[len(tail) - top - 1:])[::-1]
+        excess = logs[:-1] - logs[0]
+        if a == 0.0:
+            log_a = np.cumsum(excess)[ks - 1] / ks
+        else:
+            sums = np.cumsum(np.expm1(a * excess))[ks - 1]
+            log_mean = np.log1p(sums / ks)
+            if not np.isfinite(sums).all():
+                lse = np.logaddexp.accumulate(a * excess)[ks - 1]
+                log_mean = np.where(np.isfinite(sums), log_mean, lse - np.log(ks))
+            log_a = log_mean / a
+        log_a += logs[0] - logs[ks]
+        m = log_a if b == 0.0 else np.expm1(b * log_a) / b
+    return np.where(np.isfinite(m), m, np.nan)
+
+
 def m_ab(tail: np.ndarray, k: int, a: float, b: float) -> float:
     """Evaluate M_{a,b} on an ascending tail slice z_(n-k) .. z_(n).
+
+    The single-k view of ``m_ab_path``.
 
     Parameters
     ----------
@@ -115,20 +160,10 @@ def m_ab(tail: np.ndarray, k: int, a: float, b: float) -> float:
         raise ValueError(f"tail must hold k + 1 = {k + 1} values, got shape {tail.shape}")
     if tail[0] <= 0.0:
         raise NumericDomainError(f"threshold order statistic must be positive, got {tail[0]}")
-    log_ratios = np.log(tail[1:]) - np.log(tail[0])
-    if a == 0.0:
-        log_a = float(np.mean(log_ratios))
-    else:
-        # log A_a = logsumexp(a * log_ratios)/a - log(k)/a, overflow-safe
-        scaled = a * log_ratios
-        peak = float(np.max(scaled))
-        log_a = (peak + math.log(float(np.mean(np.exp(scaled - peak))))) / a
-    if b == 0.0:
-        return log_a
-    try:
-        return float(math.expm1(b * log_a) / b)
-    except OverflowError:
-        raise NumericDomainError(f"M_(a,b) overflows at a={a}, b={b}, k={k}") from None
+    value = float(m_ab_path(tail, [k], a, b)[0])
+    if math.isnan(value):
+        raise NumericDomainError(f"M_(a,b) overflows at a={a}, b={b}, k={k}")
+    return value
 
 
 _MARGIN_ATTR = {
@@ -138,13 +173,17 @@ _MARGIN_ATTR = {
 }
 
 
+def sorted_margin(pseudo: PseudoSample, margin) -> np.ndarray:
+    """The ascending pseudo-observations z_(1) .. z_(n) of the requested margin."""
+    return getattr(pseudo, _MARGIN_ATTR[Margin(margin)])
+
+
 def tail_slice(pseudo: PseudoSample, k: int, margin) -> np.ndarray:
     """The ascending slice z_(n-k) .. z_(n) of the requested margin."""
     n = pseudo.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n - 1 = {n - 1}, got {k}")
-    arr = getattr(pseudo, _MARGIN_ATTR[Margin(margin)])
-    return arr[n - k - 1:]
+    return sorted_margin(pseudo, margin)[n - k - 1:]
 
 
 def eta_hat(pseudo: PseudoSample, k: int, spec: EstimatorSpec) -> float:

@@ -19,16 +19,23 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .bias import SecondOrderParams, SecondOrderSource, effective_tau, \
-    estimate_second_order, reduced_bias_eta
+    estimate_second_order, reduced_bias_path
 from .copulas import CopulaModel, Family, replicate_generator, sample_copula
 from .errors import ParameterDomainError, ResidualDepError
-from .estimators import EstimatorSpec, Margin, eta_hat
+from .estimators import EstimatorSpec, Margin, m_ab_path, sorted_margin
 from .pseudo import BivariateSample, PseudoSample
+
+# Not called here (``evaluate_cells`` runs whole paths through ``m_ab_path``
+# and ``reduced_bias_path``), but the benchmark's tracer, bench/runner.py,
+# wraps them under these names.
+from .bias import reduced_bias_eta  # noqa: F401
+from .estimators import eta_hat  # noqa: F401
 
 __all__ = [
     "KstarRule",
@@ -36,7 +43,9 @@ __all__ = [
     "StudyConfig",
     "CellResult",
     "SimulationReport",
+    "CellPath",
     "cell_grid",
+    "grid_cells",
     "evaluate_cells",
     "run_study",
     "emit_report",
@@ -251,47 +260,65 @@ def load_config(path, master_seed: int | None = None) -> StudyConfig:
 
 # --- the study grid ---------------------------------------------------------
 
-def cell_grid(margins, q_grid, k_grid, kstar_rule: KstarRule, n: int,
-              reduced: bool) -> list[tuple]:
-    """(estimator, spec, k, kstar) for every cell; sorted grids give report row order.
+class CellPath(NamedTuple):
+    """The cells of one (estimator, spec) pair, one per entry of ``ks``.
 
-    Raw cells on each margin come first, then, if ``reduced``, the reduced-bias
-    cells, which are on the shifted-Frechet margin whatever ``margins`` holds.
+    ``kstars`` holds each reduced-bias cell's k*, and is None on raw paths.
     """
-    raw = [EstimatorSpec.conjugate(q, margin=m) for m in margins for q in q_grid]
-    grid = [("raw", spec, k, None) for spec in raw for k in k_grid]
+
+    estimator: str
+    spec: EstimatorSpec
+    ks: np.ndarray
+    kstars: np.ndarray | None
+
+
+def cell_grid(margins, q_grid, k_grid, kstar_rule: KstarRule, n: int,
+              reduced: bool) -> list[CellPath]:
+    """One path per (estimator, spec) over ``k_grid``; sorted grids give report row order.
+
+    Raw paths on each margin come first, then, if ``reduced``, the reduced-bias
+    paths, which are on the shifted-Frechet margin whatever ``margins`` holds.
+    """
+    ks = np.asarray(k_grid, dtype=np.intp)
+    grid = [CellPath("raw", EstimatorSpec.conjugate(q, margin=m), ks, None)
+            for m in margins for q in q_grid]
     if reduced:
-        shifted = [EstimatorSpec.conjugate(q, margin=Margin.FRECHET_SHIFTED) for q in q_grid]
-        grid += [("reduced", spec, k, kstar_rule.resolve(n, k))
-                 for spec in shifted for k in k_grid]
+        kstars = np.array([kstar_rule.resolve(n, k) for k in ks.tolist()], dtype=np.intp)
+        grid += [CellPath("reduced", EstimatorSpec.conjugate(q, margin=Margin.FRECHET_SHIFTED),
+                          ks, kstars) for q in q_grid]
     return grid
 
 
-def evaluate_cells(pseudo: PseudoSample, grid: list[tuple],
+def grid_cells(grid: list[CellPath]):
+    """(estimator, spec, k, kstar) for every cell, path after path."""
+    for estimator, spec, ks, kstars in grid:
+        for k, kstar in zip(ks.tolist(), repeat(None) if kstars is None else kstars.tolist()):
+            yield estimator, spec, k, kstar
+
+
+def evaluate_cells(pseudo: PseudoSample, grid: list[CellPath],
                    so: SecondOrderParams | None) -> np.ndarray:
-    """Estimates of one sample on every cell; NaN on a domain error, and on
-    every reduced-bias cell when ``so`` is None."""
-    out = np.empty(len(grid))
-    for j, (estimator, spec, k, kstar) in enumerate(grid):
-        try:
-            if estimator == "raw":
-                out[j] = eta_hat(pseudo, k, spec)
-            elif so is None:
-                out[j] = math.nan
-            else:
-                out[j] = reduced_bias_eta(pseudo, k, kstar, spec.a, so).eta
-        except ResidualDepError:
-            out[j] = math.nan
-    return out
+    """Estimates of one sample on every cell, in ``grid_cells`` order: one kernel
+    call per path, NaN where an estimate is undefined, and on every reduced-bias
+    cell when ``so`` is None."""
+    paths = []
+    for estimator, spec, ks, kstars in grid:
+        if estimator == "raw":
+            paths.append(m_ab_path(sorted_margin(pseudo, spec.margin), ks, spec.a, spec.b))
+        elif so is None:
+            paths.append(np.full(len(ks), math.nan))
+        else:
+            paths.append(reduced_bias_path(pseudo, ks, kstars, spec.a, so))
+    return np.concatenate(paths) if paths else np.empty(0)
 
 
-def _evaluate_replicate(config: StudyConfig, grid: list[tuple], r: int) -> np.ndarray:
+def _evaluate_replicate(config: StudyConfig, grid: list[CellPath], r: int) -> np.ndarray:
     """Estimates of replicate r on every cell of ``grid``."""
     rng = replicate_generator(config.master_seed, r)
     u, v = sample_copula(config.model, config.n, rng)
     pseudo = PseudoSample.from_sample(BivariateSample(u, v))
     so = None
-    if any(cell[0] == "reduced" for cell in grid):
+    if any(path.estimator == "reduced" for path in grid):
         try:
             so = config.second_order.resolve(config.model, pseudo)
         except ResidualDepError:
@@ -302,25 +329,21 @@ def _evaluate_replicate(config: StudyConfig, grid: list[tuple], r: int) -> np.nd
 # --- order-insensitive moment merging ---------------------------------------
 
 class _Moments:
-    """Per-cell count/mean/M2 plus mean squared error about the truth."""
+    """Per-cell count, mean and M2 (sum of squared deviations from the mean)."""
 
-    __slots__ = ("rank", "count", "mean", "m2", "sq_err")
+    __slots__ = ("rank", "count", "mean", "m2")
 
-    def __init__(self, rank, count, mean, m2, sq_err):
+    def __init__(self, rank, count, mean, m2):
         self.rank = rank
         self.count = count
         self.mean = mean
         self.m2 = m2
-        self.sq_err = sq_err
 
     @classmethod
-    def leaf(cls, values: np.ndarray, truth: float) -> "_Moments":
+    def leaf(cls, values: np.ndarray) -> "_Moments":
         ok = np.isfinite(values)
-        count = ok.astype(np.int64)
         mean = np.where(ok, values, 0.0)
-        sq = np.where(ok, (values - truth) ** 2, 0.0) if math.isfinite(truth) \
-            else np.zeros_like(mean)
-        return cls(1, count, mean, np.zeros_like(mean), sq)
+        return cls(1, ok.astype(np.int64), mean, np.zeros_like(mean))
 
     def merge(self, other: "_Moments") -> "_Moments":
         count = self.count + other.count
@@ -329,15 +352,14 @@ class _Moments:
         delta = other.mean - self.mean
         mean = self.mean + delta * w_other
         m2 = self.m2 + other.m2 + delta * delta * self.count * w_other
-        sq_err = self.sq_err + (other.sq_err - self.sq_err) * w_other
-        return _Moments(self.rank + other.rank, count, mean, m2, sq_err)
+        return _Moments(self.rank + other.rank, count, mean, m2)
 
 
-def _merge_stream(chunks, truth: float) -> _Moments:
+def _merge_stream(chunks) -> _Moments:
     """Fold replicate vectors (in index order) along a fixed binary tree."""
     stack: list[_Moments] = []
     for values in chunks:
-        node = _Moments.leaf(values, truth)
+        node = _Moments.leaf(values)
         while stack and stack[-1].rank == node.rank:
             node = stack.pop().merge(node)
         stack.append(node)
@@ -416,24 +438,25 @@ def run_study(config: StudyConfig, *, workers: int = 1) -> SimulationReport:
     truth = config.model.true_eta if config.model.true_eta is not None else math.nan
     evaluate = partial(_evaluate_replicate, config, grid)
     if workers <= 1 or config.N == 1:
-        moments = _merge_stream(map(evaluate, range(config.N)), truth)
+        moments = _merge_stream(map(evaluate, range(config.N)))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, config.N // (workers * 4))
-            moments = _merge_stream(pool.map(evaluate, range(config.N), chunksize=chunk), truth)
+            moments = _merge_stream(pool.map(evaluate, range(config.N), chunksize=chunk))
 
     ok = moments.count > 0
     scored = ok & math.isfinite(truth)
     mean = np.where(ok, moments.mean, math.nan)
     variance = np.where(ok, moments.m2 / np.maximum(moments.count, 1), math.nan)
     bias = np.where(scored, mean - truth, math.nan)
-    mse = np.where(scored, moments.sq_err, math.nan)
-    # .tolist() yields Python scalars, whose repr the CSV writes
+    mse = np.where(scored, variance + bias * bias, math.nan)
+    # .tolist() yields Python floats, whose str (their repr) the CSV writes
     stats = zip(mean.tolist(), bias.tolist(), variance.tolist(), mse.tolist())
     cells = tuple(
         CellResult(estimator, spec.margin.value, spec.q, spec.a, spec.b, k, k / config.n,
                    kstar, *row, n_ok, config.N - n_ok)
-        for (estimator, spec, k, kstar), row, n_ok in zip(grid, stats, moments.count.tolist())
+        for (estimator, spec, k, kstar), row, n_ok in zip(grid_cells(grid), stats,
+                                                          moments.count.tolist())
     )
     return SimulationReport(
         cells=cells, master_seed=config.master_seed,
@@ -447,8 +470,7 @@ def emit_report(report: SimulationReport, format: str = "csv") -> str:
     if format == "csv":
         lines = [",".join(CSV_COLUMNS)]
         for cell in report.cells:
-            lines.append(",".join("" if v is None else repr(v) if isinstance(v, float) else str(v)
-                                  for v in cell))
+            lines.append(",".join("" if v is None else str(v) for v in cell))
         return "\n".join(lines) + "\n"
     if format == "jsonl":
         return "\n".join(json.dumps(cell._asdict()) for cell in report.cells) + "\n"

@@ -197,6 +197,15 @@ class TestEstimateCommand:
         assert {r["margin"] for r in rows if r["reduced"] == "true"} == {"frechet_shifted"}
         assert sum(r["reduced"] == "true" for r in rows) == 40
 
+    @pytest.mark.parametrize("flag,value", [("--tau", "0.5"), ("--beta", "0"),
+                                            ("--kstar", "sqrtk"), ("--k0", "100")])
+    def test_flags_without_reduce_bias_exit_2(self, uniform_csv, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+                  "--dry", "0", "--quantile", "0", flag, value])
+        assert exc.value.code == 2
+        assert f"{flag}: no effect without --reduce-bias" in capsys.readouterr().err
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--data"])

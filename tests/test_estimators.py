@@ -10,6 +10,8 @@ from residualdep import BivariateSample, CopulaModel, EstimatorSpec, Margin, \
     NumericDomainError, PseudoSample, VarianceDomainError, asymptotic_bias, \
     asymptotic_variance, confidence_interval, eta_hat, m_ab, point_estimate, \
     replicate_generator, sample_copula
+from residualdep.estimators import m_ab_path
+from residualdep.simulate import DEFAULT_Q_GRID
 
 TAIL_842 = np.array([1.0, 2.0, 4.0, 8.0])  # threshold 1, ratios {2, 4, 8}
 
@@ -95,6 +97,66 @@ class TestKernel:
             m_ab(TAIL_842, 2, 0.0, 0.0)  # wrong tail length
         with pytest.raises(NumericDomainError, match="overflows"):
             m_ab(np.array([1.0, 2.0, 3.0]), 2, 0.0, 1000.0)
+
+
+def random_tail(seed, n, levels):
+    """n ascending standard-Pareto pseudo-observations (levels + 1) / (levels + 1 - r)
+    of random integer ranks r in 1..levels: tied wherever a rank repeats, and
+    one constant run when levels = 1."""
+    r = np.random.default_rng(seed).integers(1, levels + 1, size=n)
+    return np.sort((levels + 1.0) / (levels + 1.0 - r))
+
+
+def naive_log_a(tail, k, a):
+    # log A_a, with the power mean scaled by its largest term
+    logs = [math.log(z / tail[0]) for z in tail[1:]]
+    shift = max(a * x for x in logs)
+    return (shift + math.log(math.fsum(math.exp(a * x - shift) for x in logs) / k)) / a
+
+
+tails = st.builds(random_tail, st.integers(0, 2**32 - 1), st.integers(2, 200),
+                  st.integers(1, 400))
+
+
+class TestPathKernel:
+    @given(tails, st.sampled_from(DEFAULT_Q_GRID), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_loop_property(self, tail, q, data):
+        # |a| up to 9 (q = 0.1), the shortest and the longest tail, ties
+        n = len(tail)
+        ks = sorted({1, n - 1, data.draw(st.integers(1, n - 1))})
+        spec = EstimatorSpec.conjugate(q)
+        got = m_ab_path(tail, ks, spec.a, spec.b)
+        for k, value in zip(ks, got):
+            want = naive_m_ab(tail[n - k - 1:], k, spec.a, spec.b)
+            assert abs(value - want) <= 1e-12 * abs(want)
+
+    @given(tails, st.floats(-9.0, 0.9), st.floats(-9.0, 9.0), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_each_entry_is_the_single_k_kernel(self, tail, a, b, data):
+        n = len(tail)
+        ks = sorted(data.draw(st.sets(st.integers(1, n - 1), min_size=1)))
+        path = m_ab_path(tail, ks, a, b)
+        for k, value in zip(ks, path):
+            if math.isnan(value):
+                with pytest.raises(NumericDomainError):
+                    m_ab(tail[-k - 1:], k, a, b)
+            else:
+                assert value == m_ab(tail[-k - 1:], k, a, b)
+
+    def test_sums_past_the_float_range(self):
+        # a = -999 (q = 1e-3): the prefix sums overflow and are taken in log
+        # space; b = 0 keeps the result finite
+        tail = np.sort(1.0 + np.random.default_rng(8).pareto(1.0, size=301))
+        got = m_ab_path(tail, [1, 150, 300], -999.0, 0.0)
+        for k, value in zip([1, 150, 300], got):
+            assert value == pytest.approx(naive_log_a(tail[-k - 1:], k, -999.0), rel=1e-12)
+
+    def test_empty_and_out_of_range_ks(self):
+        assert m_ab_path(TAIL_842, [], 0.5, -0.5).shape == (0,)
+        for ks in ([0], [4], [1, 2, 4]):
+            with pytest.raises(ValueError):
+                m_ab_path(TAIL_842, ks, 0.5, -0.5)
 
 
 class TestParametrizations:

@@ -148,10 +148,9 @@ class TestRunStudy:
         cfg = small_config(N=7)
         grid = cell_grid(cfg.margins, cfg.q_grid, cfg.k_grid, cfg.kstar_rule, cfg.n, True)
         values = [_evaluate_replicate(cfg, grid, r) for r in range(cfg.N)]
-        truth = cfg.model.true_eta
         for drop in range(cfg.N):
             kept = [v for r, v in enumerate(values) if r != drop]
-            merged = _merge_stream(iter(kept), truth)
+            merged = _merge_stream(iter(kept))
             stacked = np.vstack(kept)
             np.testing.assert_allclose(merged.mean, np.nanmean(stacked, axis=0), atol=1e-10)
             np.testing.assert_allclose(merged.m2 / merged.count,
@@ -179,7 +178,7 @@ class TestRunStudy:
         def broken(*args):
             raise exc("broken kernel")
 
-        monkeypatch.setattr("residualdep.simulate.eta_hat", broken)
+        monkeypatch.setattr("residualdep.simulate.m_ab_path", broken)
         with pytest.raises(exc, match="broken kernel"):
             run_study(small_config(N=2))
 
