@@ -99,7 +99,7 @@ def cmd_estimate(args) -> int:
     sample, pseudo = _ingest_from_args(args)
     n = sample.n
     q_grid = sorted({float(tok) for tok in args.q.split(",")} | {1.0})  # Hill is always reported
-    k_max = min(max(1, int(n * args.k_max)), n - 1)
+    k_max = max(1, int(n * args.k_max))  # k_max < n, since main checks --k-max < 1
     grid = cell_grid([Margin(args.margin)], q_grid, range(1, k_max + 1),
                      KstarRule.parse(args.kstar or "pow0.3"), n, args.reduce_bias)
     so = None
@@ -234,9 +234,11 @@ _REDUCE_BIAS_FLAGS = ("tau", "beta", "kstar", "k0")
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func is cmd_estimate and not args.reduce_bias:
+    if args.func is cmd_estimate:
+        if not 0.0 < args.k_max < 1.0:
+            parser.error(f"estimate: --k-max must lie in (0, 1), got {args.k_max}")
         unused = [f"--{name}" for name in _REDUCE_BIAS_FLAGS if getattr(args, name) is not None]
-        if unused:
+        if unused and not args.reduce_bias:
             parser.error(f"estimate: {', '.join(unused)}: no effect without --reduce-bias")
     try:
         return args.func(args)

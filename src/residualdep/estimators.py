@@ -72,10 +72,10 @@ class EstimatorSpec:
 
     @classmethod
     def conjugate(cls, q: float, margin=Margin.PARETO_T) -> "EstimatorSpec":
-        """Primary parametrisation a = 1 - 1/q, b = 1/q - 1 (q > 0)."""
+        """Primary parametrisation a = 1 - 1/q, b = 1/q - 1 (0 < q < inf)."""
         q = float(q)
-        if q <= 0.0:
-            raise NumericDomainError(f"conjugate parametrisation needs q > 0, got {q}")
+        if not 0.0 < q < math.inf:
+            raise NumericDomainError(f"conjugate parametrisation needs 0 < q < inf, got {q}")
         if q == 1.0:
             return cls(a=0.0, b=0.0, margin=Margin(margin), tag="conjugate", q=q)
         a = 1.0 - 1.0 / q
@@ -83,10 +83,11 @@ class EstimatorSpec:
 
     @classmethod
     def mean_of_order_p(cls, q: float, margin=Margin.PARETO_T) -> "EstimatorSpec":
-        """Alternative parametrisation a = 1 - q, b = q - 1 (q > 0)."""
+        """Alternative parametrisation a = 1 - q, b = q - 1 (0 < q < inf)."""
         q = float(q)
-        if q <= 0.0:
-            raise NumericDomainError(f"mean-of-order-p parametrisation needs q > 0, got {q}")
+        if not 0.0 < q < math.inf:
+            raise NumericDomainError(
+                f"mean-of-order-p parametrisation needs 0 < q < inf, got {q}")
         if q == 1.0:
             return cls(a=0.0, b=0.0, margin=Margin(margin), tag="mean_of_order_p", q=q)
         a = 1.0 - q

@@ -76,26 +76,47 @@ def empirical_quantile(values: np.ndarray, p: float) -> float:
 
 
 def _parse_rows(spec: IngestionSpec):
+    """x, y, labels and (rows read, dropped as NA/NaN, dropped by date).
+
+    One ``csv.reader`` pass that reads rows as ``csv.DictReader`` would:
+    blank lines are skipped and not counted, a short row reads its missing
+    cells as "" and a repeated column name means its last occurrence.
+    """
     na = set(spec.na_tokens)
+    filters_dates = spec.month is not None or spec.date_from is not None \
+        or spec.date_to is not None
     xs, ys, labels = [], [], []
+    n_na = n_date = 0
     try:
         fh = open(spec.path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {spec.path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{spec.path}: empty file, no header row")
+        index = {name: i for i, name in enumerate(header)}
         for col in (spec.x_col, spec.y_col):
-            if col not in reader.fieldnames:
+            if col not in index:
                 raise DataError(f"{spec.path}: missing column {col!r} "
-                                f"(available: {', '.join(reader.fieldnames)})")
-        if spec.date_col is not None and spec.date_col not in reader.fieldnames:
+                                f"(available: {', '.join(header)})")
+        if spec.date_col is not None and spec.date_col not in index:
             raise DataError(f"{spec.path}: missing date column {spec.date_col!r}")
-        for row_num, row in enumerate(reader, start=2):  # 1-based, after header
-            raw_x = (row[spec.x_col] or "").strip()
-            raw_y = (row[spec.y_col] or "").strip()
+        ix, iy = index[spec.x_col], index[spec.y_col]
+        idate = -1 if spec.date_col is None else index[spec.date_col]
+        width = max(ix, iy, idate) + 1
+        row_num = 1  # 1-based, after header
+        for row in reader:
+            if not row:
+                continue
+            row_num += 1
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            raw_x = row[ix].strip()
+            raw_y = row[iy].strip()
             if raw_x in na or raw_y in na:
+                n_na += 1
                 continue
             try:
                 x = float(raw_x)
@@ -105,35 +126,39 @@ def _parse_rows(spec: IngestionSpec):
                     f"{spec.path}: non-numeric cell at row {row_num} "
                     f"({spec.x_col}={raw_x!r}, {spec.y_col}={raw_y!r})"
                 ) from None
-            if math.isnan(x) or math.isnan(y):
+            if x != x or y != y:  # NaN
+                n_na += 1
                 continue
             label = None
-            if spec.date_col is not None:
-                token = (row[spec.date_col] or "").strip()
+            if idate >= 0:
+                token = row[idate].strip()
                 try:
                     label = date.fromisoformat(token)
                 except ValueError:
                     raise DataError(
                         f"{spec.path}: unparseable ISO date {token!r} at row {row_num}"
                     ) from None
-                if not spec._keeps_date(label):
+                if filters_dates and not spec._keeps_date(label):
+                    n_date += 1
                     continue
             labels.append(label)
             xs.append(x)
             ys.append(y)
-    return np.asarray(xs), np.asarray(ys), labels
+    return np.asarray(xs), np.asarray(ys), labels, (row_num - 1, n_na, n_date)
 
 
 def ingest(spec: IngestionSpec) -> BivariateSample:
     """Read, filter and return the analysable sample.
 
-    Raises ``DataError`` when fewer than 50 rows survive the filters.
+    Raises ``DataError`` when fewer than 50 rows survive the filters; the
+    message gives the rows read and the rows each stage dropped.
     """
-    x, y, labels = _parse_rows(spec)
+    x, y, labels, (n_read, n_na, n_date) = _parse_rows(spec)
 
     wet = (x >= spec.dry_threshold) & (y >= spec.dry_threshold)
     x, y = x[wet], y[wet]
     labels = [lab for lab, keep in zip(labels, wet) if keep]
+    n_dry = len(wet) - len(x)
 
     if len(x) and spec.quantile_filter > 0.0:
         qx = empirical_quantile(x, spec.quantile_filter)
@@ -144,11 +169,14 @@ def ingest(spec: IngestionSpec) -> BivariateSample:
             keep = (x > qx) & (y > qy)
         x, y = x[keep], y[keep]
         labels = [lab for lab, kept in zip(labels, keep) if kept]
+    n_quantile = len(wet) - n_dry - len(x)
 
     if len(x) < 50:
         raise DataError(
             f"only {len(x)} rows retained after filtering (dry threshold "
-            f"{spec.dry_threshold}, quantile {spec.quantile_filter}); need at least 50"
+            f"{spec.dry_threshold}, quantile {spec.quantile_filter}); need at least 50. "
+            f"Read {n_read} rows, dropped {n_na} NA/NaN, {n_date} by date, "
+            f"{n_dry} dry, {n_quantile} by quantile"
         )
     have_labels = spec.date_col is not None
     return BivariateSample(x, y, labels=tuple(labels) if have_labels else None)

@@ -67,17 +67,24 @@ class BivariateSample:
 
 
 def _rank_one_margin(values, policy, rng, name):
-    if policy is TiePolicy.STRICT:
-        uniq, counts = np.unique(values, return_counts=True)
-        if (counts > 1).any():
-            offender = uniq[counts > 1][0]
-            raise TieError(f"tied value {offender!r} in {name} under strict tie policy")
     if policy is TiePolicy.JITTER:
         # a seeded random key orders ties only; distinct values keep their order
         order = np.lexsort((rng.random(len(values)), values))
     else:
-        # stable sort => ties ranked by order of first occurrence
-        order = np.argsort(values, kind="stable")
+        # distinct values have one sorting permutation, so the fast default
+        # sort ranks them as the stable sort would; 0.0 == -0.0 and
+        # inf == inf count as ties
+        order = np.argsort(values)
+        ordered = values[order]
+        tied = ordered[1:] == ordered[:-1]
+        if tied.any():
+            if policy is TiePolicy.STRICT:
+                # the value as np.sort orders it: argsort may put -0.0 and
+                # 0.0 the other way round
+                offender = np.sort(values)[tied.argmax()]
+                raise TieError(f"tied value {offender!r} in {name} under strict tie policy")
+            # stable sort => ties ranked by order of first occurrence
+            order = np.argsort(values, kind="stable")
     ranks = np.empty(len(values), dtype=np.int64)
     ranks[order] = np.arange(1, len(values) + 1)
     return ranks

@@ -182,9 +182,10 @@ class StudyConfig:
             raise ValueError(f"need n >= 2, got {self.n}")
         if self.N < 1:
             raise ValueError(f"need N >= 1, got {self.N}")
-        object.__setattr__(self, "q_grid", tuple(sorted({float(q) for q in self.q_grid})))
-        if any(q <= 0.0 for q in self.q_grid):
-            raise ValueError("q_grid values must be positive")
+        q_grid = {float(q) for q in self.q_grid}
+        if not all(0.0 < q < math.inf for q in q_grid):  # NaN would also leave no sort order
+            raise ValueError(f"q_grid values must lie in (0, inf), got {list(self.q_grid)}")
+        object.__setattr__(self, "q_grid", tuple(sorted(q_grid)))
         object.__setattr__(self, "margins", tuple(sorted({Margin(m) for m in self.margins})))
         object.__setattr__(self, "kstar_rule", KstarRule.parse(self.kstar_rule))
         object.__setattr__(self, "k_grid", self._resolve_k_grid(self.k_grid))

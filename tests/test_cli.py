@@ -206,6 +206,31 @@ class TestEstimateCommand:
         assert exc.value.code == 2
         assert f"{flag}: no effect without --reduce-bias" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q", ["nan", "inf", "1e309", "0.5,nan", "0"])
+    def test_non_finite_q_exit_4(self, uniform_csv, capsys, q):
+        code, out, err = run_cli(
+            capsys, "estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+            "--dry", "0", "--quantile", "0", "--k-max", "0.01", "--q", q,
+        )
+        assert code == 4 and out == ""
+        assert "needs 0 < q < inf" in err
+
+    @pytest.mark.parametrize("k_max", ["0", "-1", "1", "7", "nan"])
+    def test_k_max_outside_unit_interval_exit_2(self, uniform_csv, capsys, k_max):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+                  "--dry", "0", "--quantile", "0", "--q", "1", "--k-max", k_max])
+        assert exc.value.code == 2
+        assert "--k-max must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_k_max_below_one_over_n_gives_k_1(self, uniform_csv, capsys):
+        code, out, _ = run_cli(
+            capsys, "estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+            "--dry", "0", "--quantile", "0", "--q", "1", "--k-max", "0.0001",
+        )
+        assert code == 0
+        assert [r["k"] for r in parse_estimate_csv(out)] == ["1"]
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--data"])

@@ -61,6 +61,69 @@ class TestRanks:
         assert_array_equal(rx, counts)
 
 
+LATTICE = st.lists(st.integers(-6, 6), min_size=2, max_size=400).map(
+    lambda v: np.asarray(v) * 0.25)
+CONTINUOUS = st.lists(st.one_of(st.floats(allow_nan=False),
+                                st.sampled_from([0.0, -0.0, np.inf, -np.inf])),
+                      min_size=2, max_size=400).map(np.asarray)
+
+
+def _stable_ranks(x):
+    ranks = np.empty(len(x), dtype=np.int64)
+    ranks[np.argsort(x, kind="stable")] = np.arange(1, len(x) + 1)
+    return ranks
+
+
+def _unique_rule_message(x):
+    # the np.unique form of the strict check; None when x has no tie
+    uniq, counts = np.unique(x, return_counts=True)
+    if not (counts > 1).any():
+        return None
+    return f"tied value {uniq[counts > 1][0]!r} in x under strict tie policy"
+
+
+class TestTieCheckedRanking:
+    """The default sort plus a neighbour check against the stable-sort rule."""
+
+    @given(st.one_of(LATTICE, CONTINUOUS))
+    @settings(max_examples=200, deadline=None)
+    def test_first_occurrence_is_inverse_stable_argsort(self, x):
+        rx, ry = compute_ranks(_sample(x, -x))
+        assert_array_equal(rx, _stable_ranks(x))
+        assert_array_equal(ry, _stable_ranks(-x))
+
+    @given(st.one_of(LATTICE, CONTINUOUS))
+    @settings(max_examples=200, deadline=None)
+    def test_strict_names_the_unique_rule_value(self, x):
+        expected = _unique_rule_message(x)
+        sample = _sample(x, np.arange(len(x)))
+        if expected is None:
+            rx, _ = compute_ranks(sample, TiePolicy.STRICT)
+            assert_array_equal(rx, _stable_ranks(x))
+        else:
+            with pytest.raises(TieError) as exc:
+                compute_ranks(sample, TiePolicy.STRICT)
+            assert str(exc.value) == expected
+
+    @pytest.mark.parametrize("kind", ["lattice", "continuous", "signed_zeros"])
+    def test_large_n(self, kind):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal(20_000)
+        if kind == "lattice":
+            x = np.round(x, 1)
+        elif kind == "signed_zeros":
+            x[rng.choice(20_000, 40, replace=False)] = rng.choice([0.0, -0.0], 40)
+        rx, _ = compute_ranks(_sample(x, np.arange(20_000)))
+        assert_array_equal(rx, _stable_ranks(x))
+        expected = _unique_rule_message(x)
+        if kind == "continuous":
+            assert expected is None
+        else:
+            with pytest.raises(TieError) as exc:
+                compute_ranks(_sample(x, np.arange(20_000)), TiePolicy.STRICT)
+            assert str(exc.value) == expected
+
+
 class TestPseudoValues:
     def test_pareto_example_n3(self):
         t = pareto_pseudo(np.array([1, 2, 3]), np.array([2, 1, 3]))

@@ -46,6 +46,11 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             small_config(q_grid=(0.0, 1.0))
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_q(self, q):
+        with pytest.raises(ValueError, match=r"must lie in \(0, inf\)"):
+            small_config(q_grid=(1.0, q))
+
     def test_hash_stable_and_sensitive(self):
         a, b = small_config(), small_config()
         assert a.config_hash() == b.config_hash()
