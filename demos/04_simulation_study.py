@@ -27,7 +27,7 @@ config = StudyConfig(
 
 report = run_study(config, workers=1)
 write_report(report, "frank_cells.csv")
-print(f"study hash {report.config_hash}, seed {report.master_seed}; "
+print(f"study hash {report.config.config_hash()}, seed {report.config.master_seed}; "
       f"{len(report.cells)} cells -> frank_cells.csv")
 if report.flagged:
     print(f"{len(report.flagged)} cells had >10% replicate failures")

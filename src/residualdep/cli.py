@@ -24,8 +24,8 @@ from .errors import DataError, NumericDomainError, ResidualDepError
 from .estimators import Margin, confidence_interval, m_ab
 from .ingest import IngestionSpec, ingest
 from .pseudo import BivariateSample, PseudoSample, TiePolicy, joint_exceedance_count
-from .simulate import KstarRule, SecondOrderSpec, cell_grid, evaluate_cells, grid_cells, \
-    load_config, run_study, write_report
+from .simulate import KstarRule, SecondOrderSpec, cell_grid, evaluate_cells, load_config, \
+    run_study, write_report
 
 # Not called here (``estimate`` reaches both through ``simulate``), but the
 # benchmark's tracer, bench/runner.py, wraps them under these names.
@@ -101,7 +101,7 @@ def cmd_estimate(args) -> int:
     q_grid = sorted({float(tok) for tok in args.q.split(",")} | {1.0})  # Hill is always reported
     k_max = max(1, int(n * args.k_max))  # k_max < n, since main checks --k-max < 1
     grid = cell_grid([Margin(args.margin)], q_grid, range(1, k_max + 1),
-                     KstarRule.parse(args.kstar or "pow0.3"), n, args.reduce_bias)
+                     args.kstar or KstarRule.pow_n(), n, args.reduce_bias)
     so = None
     if args.reduce_bias:
         mode = "per_replicate" if args.tau is None and args.beta is None else "user"
@@ -110,13 +110,15 @@ def cmd_estimate(args) -> int:
 
     with _out_stream(args.out) as stream:
         print("q,k,k_over_n,eta,ci_low,ci_high,margin,reduced", file=stream)
-        for (estimator, spec, k, _), eta in zip(grid_cells(grid), etas.tolist()):
-            try:
-                low, high = confidence_interval(eta, k, spec.a, args.level)
-            except NumericDomainError:
-                low = high = math.nan
-            print(f"{spec.q:g},{k},{k / n:g},{_fmt(eta)},{_fmt(low)},{_fmt(high)},"
-                  f"{spec.margin.value},{str(estimator == 'reduced').lower()}", file=stream)
+        # every path of the grid runs over the same ks
+        for (estimator, spec, ks, _), path in zip(grid, etas.reshape(len(grid), -1).tolist()):
+            for k, eta in zip(ks.tolist(), path):
+                try:
+                    low, high = confidence_interval(eta, k, spec.a, args.level)
+                except NumericDomainError:
+                    low = high = math.nan
+                print(f"{spec.q:g},{k},{k / n:g},{_fmt(eta)},{_fmt(low)},{_fmt(high)},"
+                      f"{spec.margin.value},{str(estimator == 'reduced').lower()}", file=stream)
     failed = int(np.isnan(etas).sum())
     if failed:
         print(f"warning: {failed} of {len(etas)} cells hit a domain error; "
@@ -202,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", default=Margin.FRECHET_SHIFTED.value,
                    choices=[m.value for m in Margin])
     p.add_argument("--reduce-bias", action="store_true", dest="reduce_bias")
-    p.add_argument("--kstar", default=None,
+    p.add_argument("--kstar", type=KstarRule.parse, default=None,
                    help="k* rule: powP, sqrtk, or an integer (default pow0.3)")
     p.add_argument("--tau", type=float, default=None, help="user-supplied tau")
     p.add_argument("--beta", type=float, default=None, help="user-supplied beta")

@@ -17,9 +17,10 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from functools import partial
-from itertools import repeat
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property, partial
+from itertools import repeat, starmap
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +46,6 @@ __all__ = [
     "SimulationReport",
     "CellPath",
     "cell_grid",
-    "grid_cells",
     "evaluate_cells",
     "run_study",
     "emit_report",
@@ -70,7 +70,9 @@ class KstarRule:
     value: float = 0.3
 
     @classmethod
-    def pow_n(cls, power: float = 0.3) -> "KstarRule":
+    def pow_n(cls, power: float | str = 0.3) -> "KstarRule":
+        if not 0.0 < float(power) < math.inf:
+            raise ValueError(f"k* rule 'pow{power}' needs a finite power > 0")
         return cls(kind="pow_n", value=float(power))
 
     @classmethod
@@ -94,7 +96,7 @@ class KstarRule:
         if token == "sqrtk":
             return cls.sqrt_k()
         if token.startswith("pow"):
-            return cls.pow_n(float(token[3:]))
+            return cls.pow_n(token[3:])
         return cls.fixed(int(token))
 
     def token(self) -> str:
@@ -134,6 +136,9 @@ class SecondOrderSpec:
             raise ValueError(f"unknown second-order mode {self.mode!r}")
         if self.mode == "user" and (self.tau is None or self.beta is None):
             raise ValueError("second-order mode 'user' needs tau and beta given together")
+        for name, value in (("tau", self.tau), ("beta", self.beta)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"second-order {name} must be finite, got {value}")
 
     def resolve(self, model: CopulaModel, pseudo: PseudoSample) -> SecondOrderParams:
         if self.mode == "per_replicate":
@@ -211,12 +216,7 @@ class StudyConfig:
             "margins": [m.value for m in self.margins],
             "kstar_rule": self.kstar_rule.token(),
             "master_seed": self.master_seed,
-            "second_order": {
-                "mode": self.second_order.mode,
-                "tau": self.second_order.tau,
-                "beta": self.second_order.beta,
-                "k0": self.second_order.k0,
-            },
+            "second_order": asdict(self.second_order),
         }
 
     def config_hash(self) -> str:
@@ -290,18 +290,10 @@ def cell_grid(margins, q_grid, k_grid, kstar_rule: KstarRule, n: int,
     return grid
 
 
-def grid_cells(grid: list[CellPath]):
-    """(estimator, spec, k, kstar) for every cell, path after path."""
-    for estimator, spec, ks, kstars in grid:
-        for k, kstar in zip(ks.tolist(), repeat(None) if kstars is None else kstars.tolist()):
-            yield estimator, spec, k, kstar
-
-
 def evaluate_cells(pseudo: PseudoSample, grid: list[CellPath],
                    so: SecondOrderParams | None) -> np.ndarray:
-    """Estimates of one sample on every cell, in ``grid_cells`` order: one kernel
-    call per path, NaN where an estimate is undefined, and on every reduced-bias
-    cell when ``so`` is None."""
+    """Estimates of one sample on every cell, path after path, one kernel call per path:
+    NaN where an estimate is undefined, and on every reduced-bias cell when ``so`` is None."""
     paths = []
     for estimator, spec, ks, kstars in grid:
         if estimator == "raw":
@@ -329,16 +321,13 @@ def _evaluate_replicate(config: StudyConfig, grid: list[CellPath], r: int) -> np
 
 # --- order-insensitive moment merging ---------------------------------------
 
-class _Moments:
+class _Moments(NamedTuple):
     """Per-cell count, mean and M2 (sum of squared deviations from the mean)."""
 
-    __slots__ = ("rank", "count", "mean", "m2")
-
-    def __init__(self, rank, count, mean, m2):
-        self.rank = rank
-        self.count = count
-        self.mean = mean
-        self.m2 = m2
+    rank: int
+    count: np.ndarray
+    mean: np.ndarray
+    m2: np.ndarray
 
     @classmethod
     def leaf(cls, values: np.ndarray) -> "_Moments":
@@ -390,34 +379,46 @@ class CellResult(NamedTuple):
     n_ok: int
     n_fail: int
 
-    @property
-    def fail_fraction(self) -> float:
-        total = self.n_ok + self.n_fail
-        return self.n_fail / total if total else 0.0
-
 
 CSV_COLUMNS = CellResult._fields
+_cell_key = itemgetter(0, 1, 2, 5)  # estimator, margin, q, k
 
 
-def _cell_key(cell: CellResult) -> tuple:
-    return cell.estimator, cell.margin, cell.q, cell.k
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationReport:
-    """The study's rows, sorted by (estimator, margin, q, k), plus provenance."""
+    """A study's results as columns over its path grid.
 
-    cells: tuple
-    master_seed: int
-    config_hash: str
-    n: int
-    n_replicates: int
-    true_eta: float | None
+    Column j of ``stats`` (rows mean, bias, variance, mse) and entry j of
+    ``n_ok`` belong to cell j of ``grid``, path after path: the report's row
+    order, sorted by (estimator, margin, q, k).
+    """
+
+    config: StudyConfig
+    grid: tuple  # of CellPath
+    stats: np.ndarray
+    n_ok: np.ndarray
+
+    def rows(self):
+        """Each cell's CSV fields as Python values, in row order."""
+        n, big_n = self.config.n, self.config.N
+        stops = np.cumsum([len(path.ks) for path in self.grid], dtype=np.intp)[:-1]
+        for (estimator, spec, ks, kstars), stats, n_ok in zip(
+                self.grid, np.split(self.stats, stops, axis=1), np.split(self.n_ok, stops)):
+            yield from zip(repeat(estimator), repeat(spec.margin.value), repeat(spec.q),
+                           repeat(spec.a), repeat(spec.b), ks.tolist(), (ks / n).tolist(),
+                           repeat(None) if kstars is None else kstars.tolist(),
+                           *stats.tolist(), n_ok.tolist(), (big_n - n_ok).tolist())
+
+    @cached_property
+    def cells(self) -> tuple:
+        """Every row as a CellResult, built on first use."""
+        return tuple(starmap(CellResult, self.rows()))
 
     @property
     def flagged(self) -> tuple:
         """Cells where more than 10% of replicates failed."""
-        return tuple(c for c in self.cells if c.fail_fraction > 0.1)
+        failed = (self.config.N - self.n_ok) / self.config.N > 0.1
+        return tuple(self.cells[i] for i in np.flatnonzero(failed).tolist())
 
     def cell(self, estimator: str, margin, q: float, k: int) -> CellResult:
         key = (estimator, Margin(margin).value, q, k)
@@ -451,36 +452,32 @@ def run_study(config: StudyConfig, *, workers: int = 1) -> SimulationReport:
     variance = np.where(ok, moments.m2 / np.maximum(moments.count, 1), math.nan)
     bias = np.where(scored, mean - truth, math.nan)
     mse = np.where(scored, variance + bias * bias, math.nan)
-    # .tolist() yields Python floats, whose str (their repr) the CSV writes
-    stats = zip(mean.tolist(), bias.tolist(), variance.tolist(), mse.tolist())
-    cells = tuple(
-        CellResult(estimator, spec.margin.value, spec.q, spec.a, spec.b, k, k / config.n,
-                   kstar, *row, n_ok, config.N - n_ok)
-        for (estimator, spec, k, kstar), row, n_ok in zip(grid_cells(grid), stats,
-                                                          moments.count.tolist())
-    )
-    return SimulationReport(
-        cells=cells, master_seed=config.master_seed,
-        config_hash=config.config_hash(), n=config.n, n_replicates=config.N,
-        true_eta=config.model.true_eta,
-    )
+    return SimulationReport(config, tuple(grid), np.stack([mean, bias, variance, mse]),
+                            moments.count)
+
+
+def _lines(report: SimulationReport, format: str):
+    if format == "csv":
+        yield ",".join(CSV_COLUMNS) + "\n"
+        # an f-string field of a Python float or int is its str (a float's repr)
+        yield "".join([f"{e},{m},{q},{a},{b},{k},{kn},{'' if kstar is None else kstar},"
+                       f"{mean},{bias},{var},{mse},{ok},{fail}\n"
+                       for e, m, q, a, b, k, kn, kstar, mean, bias, var, mse, ok, fail
+                       in report.rows()])
+    elif format == "jsonl":
+        yield "\n".join(json.dumps(dict(zip(CSV_COLUMNS, row))) for row in report.rows()) + "\n"
+    else:
+        raise ValueError(f"unknown report format {format!r}")
 
 
 def emit_report(report: SimulationReport, format: str = "csv") -> str:
     """Serialise the report rows in their order; 'csv' or 'jsonl'."""
-    if format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for cell in report.cells:
-            lines.append(",".join("" if v is None else str(v) for v in cell))
-        return "\n".join(lines) + "\n"
-    if format == "jsonl":
-        return "\n".join(json.dumps(cell._asdict()) for cell in report.cells) + "\n"
-    raise ValueError(f"unknown report format {format!r}")
+    return "".join(_lines(report, format))
 
 
 def write_report(report: SimulationReport, path, format: str = "csv") -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(emit_report(report, format))
+            fh.writelines(_lines(report, format))
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc

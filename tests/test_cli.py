@@ -215,6 +215,25 @@ class TestEstimateCommand:
         assert code == 4 and out == ""
         assert "needs 0 < q < inf" in err
 
+    @pytest.mark.parametrize("tau,beta,name", [("0.5", "nan", "beta"), ("0.5", "inf", "beta"),
+                                               ("inf", "0", "tau")])
+    def test_non_finite_user_second_order_exit_4(self, uniform_csv, capsys, tau, beta, name):
+        code, out, err = run_cli(
+            capsys, "estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+            "--dry", "0", "--quantile", "0", "--k-max", "0.01", "--q", "1",
+            "--reduce-bias", "--tau", tau, "--beta", beta,
+        )
+        assert code == 4 and out == ""
+        assert f"second-order {name} must be finite" in err
+
+    @pytest.mark.parametrize("token", ["pow-1", "pownan", "powinf", "pow1e400"])
+    def test_bad_kstar_power_exit_2(self, uniform_csv, capsys, token):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+                  "--dry", "0", "--quantile", "0", "--reduce-bias", "--kstar", token])
+        assert exc.value.code == 2
+        assert f"argument --kstar: invalid parse value: '{token}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("k_max", ["0", "-1", "1", "7", "nan"])
     def test_k_max_outside_unit_interval_exit_2(self, uniform_csv, capsys, k_max):
         with pytest.raises(SystemExit) as exc:

@@ -63,6 +63,21 @@ class TestStudyConfig:
         assert KstarRule.parse("6").resolve(500, 25) == 5  # capped at isqrt(k)
         assert KstarRule.parse(6).resolve(500, 100) == 6
 
+    @pytest.mark.parametrize("token", ["pow-1", "pow0", "pownan", "powinf", "pow1e400"])
+    def test_kstar_power_must_be_finite_positive(self, token):
+        with pytest.raises(ValueError, match=f"k\\* rule '{token}' needs a finite power > 0"):
+            KstarRule.parse(token)
+        with pytest.raises(ValueError, match="needs a finite power > 0"):
+            small_config(kstar_rule=token)
+
+    @pytest.mark.parametrize("mode", ["per_replicate", "oracle", "user"])
+    @pytest.mark.parametrize("name", ["tau", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_second_order_values_must_be_finite(self, mode, name, value):
+        values = {"tau": 0.5, "beta": 0.0, name: value}
+        with pytest.raises(ValueError, match=f"second-order {name} must be finite"):
+            SecondOrderSpec(mode, **values)
+
     def test_config_file_round_trip(self, tmp_path):
         doc = {
             "model": {"family": "amh", "theta": -1.0},
