@@ -110,9 +110,8 @@ def cmd_estimate(args) -> int:
 
     with _out_stream(args.out) as stream:
         print("q,k,k_over_n,eta,ci_low,ci_high,margin,reduced", file=stream)
-        # every path of the grid runs over the same ks
-        for (estimator, spec, ks, _), path in zip(grid, etas.reshape(len(grid), -1).tolist()):
-            for k, eta in zip(ks.tolist(), path):
+        for (estimator, spec), path in zip(grid.paths, etas.tolist()):
+            for k, eta in zip(grid.ks.tolist(), path):
                 try:
                     low, high = confidence_interval(eta, k, spec.a, args.level)
                 except NumericDomainError:
@@ -121,7 +120,7 @@ def cmd_estimate(args) -> int:
                       f"{spec.margin.value},{str(estimator == 'reduced').lower()}", file=stream)
     failed = int(np.isnan(etas).sum())
     if failed:
-        print(f"warning: {failed} of {len(etas)} cells hit a domain error; "
+        print(f"warning: {failed} of {etas.size} cells hit a domain error; "
               "their eta and CI fields are empty", file=sys.stderr)
     return EXIT_OK
 
@@ -242,6 +241,8 @@ def main(argv=None) -> int:
         unused = [f"--{name}" for name in _REDUCE_BIAS_FLAGS if getattr(args, name) is not None]
         if unused and not args.reduce_bias:
             parser.error(f"estimate: {', '.join(unused)}: no effect without --reduce-bias")
+        if args.k0 is not None and (args.tau is not None or args.beta is not None):
+            parser.error("estimate: --k0: no effect with --tau or --beta")
     try:
         return args.func(args)
     except DataError as exc:

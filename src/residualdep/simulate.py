@@ -45,6 +45,7 @@ __all__ = [
     "CellResult",
     "SimulationReport",
     "CellPath",
+    "CellGrid",
     "cell_grid",
     "evaluate_cells",
     "run_study",
@@ -121,9 +122,10 @@ class SecondOrderSpec:
     """Where the (tau, beta) pair for bias correction comes from.
 
     mode 'per_replicate': estimated from each replicate's T sequence at
-    threshold k0 (default [n^0.999]).  mode 'oracle': tau defaults to the
-    model's effective second-order parameter and beta to 0, either
-    overridable.  mode 'user': both values must be given.
+    threshold k0 (default [n^0.999]), which no other mode takes.  mode
+    'oracle': tau defaults to the model's effective second-order parameter
+    and beta to 0, either overridable.  mode 'user': both values must be
+    given.
     """
 
     mode: str = "per_replicate"
@@ -136,6 +138,9 @@ class SecondOrderSpec:
             raise ValueError(f"unknown second-order mode {self.mode!r}")
         if self.mode == "user" and (self.tau is None or self.beta is None):
             raise ValueError("second-order mode 'user' needs tau and beta given together")
+        if self.k0 is not None and self.mode != "per_replicate":
+            raise ValueError(f"second-order k0 acts only in mode 'per_replicate', "
+                             f"not {self.mode!r}")
         for name, value in (("tau", self.tau), ("beta", self.beta)):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"second-order {name} must be finite, got {value}")
@@ -165,8 +170,11 @@ class SecondOrderSpec:
 class StudyConfig:
     """Full description of one simulation study.
 
-    ``k_grid`` entries may be integers (absolute k) or fractions in (0, 1),
-    floored via [n * f]; ``None`` selects every integer k up to [0.3 n].
+    ``k_grid`` entries may be integers (absolute k; an integral float such as
+    25.0 counts) or fractions in (0, 1), floored via [n * f]; ``None`` selects
+    every integer k up to [0.3 n].  A study with reduced-bias paths in
+    second-order mode 'per_replicate' needs n >= 50, and a given k0 must lie
+    in 2..n-1.
     ``q_grid`` defaults to 0.1, 0.2, ..., 1.9 and ``margins`` to all three
     pseudo-observation scales.  All three grids are resolved sorted and
     de-duplicated, which makes the study grid the report's row order.
@@ -194,13 +202,19 @@ class StudyConfig:
         object.__setattr__(self, "margins", tuple(sorted({Margin(m) for m in self.margins})))
         object.__setattr__(self, "kstar_rule", KstarRule.parse(self.kstar_rule))
         object.__setattr__(self, "k_grid", self._resolve_k_grid(self.k_grid))
+        k0 = self.second_order.k0
+        if k0 is not None and not 2 <= k0 <= self.n - 1:
+            raise ValueError(f"second-order k0 must lie in 2..n-1 = {self.n - 1}, got {k0}")
+        if self.second_order.mode == "per_replicate" and self.n < 50 \
+                and Margin.FRECHET_SHIFTED in self.margins:
+            raise ValueError(f"second-order mode 'per_replicate' needs n >= 50, got {self.n}")
 
     def _resolve_k_grid(self, raw) -> tuple:
         if raw is None:
             return tuple(range(1, int(0.3 * self.n) + 1))
         ks = []
         for entry in raw:
-            k = int(self.n * entry) if 0 < entry < 1 else int(entry)
+            k = int(self.n * entry) if 0 < entry < 1 else _integral("k_grid entry", entry)
             if not 1 <= k < self.n:
                 raise ValueError(f"k_grid entry {entry!r} resolves to k={k}, need 1 <= k < n")
             ks.append(k)
@@ -224,6 +238,13 @@ class StudyConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _integral(name: str, value) -> int:
+    """``value`` as an int; a float must be integral (25.0 passes, 2.5 does not)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
 def config_from_dict(d: dict) -> StudyConfig:
     """Build a StudyConfig from the documented key-value (JSON) format."""
     d = dict(d)
@@ -242,7 +263,7 @@ def config_from_dict(d: dict) -> StudyConfig:
     kwargs = {}
     for key in ("n", "N", "master_seed"):
         if key in d:
-            kwargs[key] = int(d.pop(key))
+            kwargs[key] = _integral(key, d.pop(key))
     for key in ("q_grid", "k_grid", "margins", "kstar_rule"):
         if key in d:
             kwargs[key] = d.pop(key)
@@ -262,56 +283,58 @@ def load_config(path, master_seed: int | None = None) -> StudyConfig:
 # --- the study grid ---------------------------------------------------------
 
 class CellPath(NamedTuple):
-    """The cells of one (estimator, spec) pair, one per entry of ``ks``.
-
-    ``kstars`` holds each reduced-bias cell's k*, and is None on raw paths.
-    """
+    """One (estimator, spec) path of the study grid: a cell per k of the grid."""
 
     estimator: str
     spec: EstimatorSpec
+
+
+class CellGrid(NamedTuple):
+    """The study grid as a product: every path runs over ``ks``, and ``kstars`` holds
+    the reduced-bias k* of each k (None when no path is reduced-bias)."""
+
+    paths: tuple  # of CellPath
     ks: np.ndarray
     kstars: np.ndarray | None
 
 
 def cell_grid(margins, q_grid, k_grid, kstar_rule: KstarRule, n: int,
-              reduced: bool) -> list[CellPath]:
+              reduced: bool) -> CellGrid:
     """One path per (estimator, spec) over ``k_grid``; sorted grids give report row order.
 
     Raw paths on each margin come first, then, if ``reduced``, the reduced-bias
     paths, which are on the shifted-Frechet margin whatever ``margins`` holds.
     """
     ks = np.asarray(k_grid, dtype=np.intp)
-    grid = [CellPath("raw", EstimatorSpec.conjugate(q, margin=m), ks, None)
-            for m in margins for q in q_grid]
-    if reduced:
+    paths = [CellPath("raw", EstimatorSpec.conjugate(q, margin=m)) for m in margins for q in q_grid]
+    kstars = None
+    if reduced and q_grid:
         kstars = np.array([kstar_rule.resolve(n, k) for k in ks.tolist()], dtype=np.intp)
-        grid += [CellPath("reduced", EstimatorSpec.conjugate(q, margin=Margin.FRECHET_SHIFTED),
-                          ks, kstars) for q in q_grid]
-    return grid
+        paths += [CellPath("reduced", EstimatorSpec.conjugate(q, margin=Margin.FRECHET_SHIFTED))
+                  for q in q_grid]
+    return CellGrid(tuple(paths), ks, kstars)
 
 
-def evaluate_cells(pseudo: PseudoSample, grid: list[CellPath],
+def evaluate_cells(pseudo: PseudoSample, grid: CellGrid,
                    so: SecondOrderParams | None) -> np.ndarray:
-    """Estimates of one sample on every cell, path after path, one kernel call per path:
-    NaN where an estimate is undefined, and on every reduced-bias cell when ``so`` is None."""
-    paths = []
-    for estimator, spec, ks, kstars in grid:
+    """Estimates of one sample on every cell, a (paths, k) array, one kernel call per path:
+    NaN where an estimate is undefined, and on every reduced-bias path when ``so`` is None."""
+    etas = np.full((len(grid.paths), len(grid.ks)), math.nan)
+    for row, (estimator, spec) in zip(etas, grid.paths):
         if estimator == "raw":
-            paths.append(m_ab_path(sorted_margin(pseudo, spec.margin), ks, spec.a, spec.b))
-        elif so is None:
-            paths.append(np.full(len(ks), math.nan))
-        else:
-            paths.append(reduced_bias_path(pseudo, ks, kstars, spec.a, so))
-    return np.concatenate(paths) if paths else np.empty(0)
+            row[:] = m_ab_path(sorted_margin(pseudo, spec.margin), grid.ks, spec.a, spec.b)
+        elif so is not None:
+            row[:] = reduced_bias_path(pseudo, grid.ks, grid.kstars, spec.a, so)
+    return etas
 
 
-def _evaluate_replicate(config: StudyConfig, grid: list[CellPath], r: int) -> np.ndarray:
+def _evaluate_replicate(config: StudyConfig, grid: CellGrid, r: int) -> np.ndarray:
     """Estimates of replicate r on every cell of ``grid``."""
     rng = replicate_generator(config.master_seed, r)
     u, v = sample_copula(config.model, config.n, rng)
     pseudo = PseudoSample.from_sample(BivariateSample(u, v))
     so = None
-    if any(path.estimator == "reduced" for path in grid):
+    if grid.kstars is not None:
         try:
             so = config.second_order.resolve(config.model, pseudo)
         except ResidualDepError:
@@ -386,28 +409,27 @@ _cell_key = itemgetter(0, 1, 2, 5)  # estimator, margin, q, k
 
 @dataclass(frozen=True, eq=False)
 class SimulationReport:
-    """A study's results as columns over its path grid.
+    """A study's results as arrays over its (paths, k) grid.
 
-    Column j of ``stats`` (rows mean, bias, variance, mse) and entry j of
-    ``n_ok`` belong to cell j of ``grid``, path after path: the report's row
-    order, sorted by (estimator, margin, q, k).
+    ``stats[:, p, j]`` (mean, bias, variance, mse) and ``n_ok[p, j]`` belong
+    to path p of ``grid`` at its j-th k.  Path after path, k after k, is the
+    report's row order, sorted by (estimator, margin, q, k).
     """
 
     config: StudyConfig
-    grid: tuple  # of CellPath
-    stats: np.ndarray
-    n_ok: np.ndarray
+    grid: CellGrid
+    stats: np.ndarray  # (4, paths, k)
+    n_ok: np.ndarray  # (paths, k)
 
     def rows(self):
         """Each cell's CSV fields as Python values, in row order."""
-        n, big_n = self.config.n, self.config.N
-        stops = np.cumsum([len(path.ks) for path in self.grid], dtype=np.intp)[:-1]
-        for (estimator, spec, ks, kstars), stats, n_ok in zip(
-                self.grid, np.split(self.stats, stops, axis=1), np.split(self.n_ok, stops)):
+        paths, ks, kstars = self.grid
+        k_columns = ks.tolist(), (ks / self.config.n).tolist()
+        for (estimator, spec), stats, n_ok in zip(paths, self.stats.swapaxes(0, 1), self.n_ok):
             yield from zip(repeat(estimator), repeat(spec.margin.value), repeat(spec.q),
-                           repeat(spec.a), repeat(spec.b), ks.tolist(), (ks / n).tolist(),
-                           repeat(None) if kstars is None else kstars.tolist(),
-                           *stats.tolist(), n_ok.tolist(), (big_n - n_ok).tolist())
+                           repeat(spec.a), repeat(spec.b), *k_columns,
+                           kstars.tolist() if estimator == "reduced" else repeat(None),
+                           *stats.tolist(), n_ok.tolist(), (self.config.N - n_ok).tolist())
 
     @cached_property
     def cells(self) -> tuple:
@@ -452,8 +474,7 @@ def run_study(config: StudyConfig, *, workers: int = 1) -> SimulationReport:
     variance = np.where(ok, moments.m2 / np.maximum(moments.count, 1), math.nan)
     bias = np.where(scored, mean - truth, math.nan)
     mse = np.where(scored, variance + bias * bias, math.nan)
-    return SimulationReport(config, tuple(grid), np.stack([mean, bias, variance, mse]),
-                            moments.count)
+    return SimulationReport(config, grid, np.stack([mean, bias, variance, mse]), moments.count)
 
 
 def _lines(report: SimulationReport, format: str):
@@ -465,7 +486,10 @@ def _lines(report: SimulationReport, format: str):
                        for e, m, q, a, b, k, kn, kstar, mean, bias, var, mse, ok, fail
                        in report.rows()])
     elif format == "jsonl":
-        yield "\n".join(json.dumps(dict(zip(CSV_COLUMNS, row))) for row in report.rows()) + "\n"
+        # strict JSON has no NaN or infinity: a statistic that is not finite is null
+        for row in report.rows():
+            yield json.dumps({key: None if isinstance(v, float) and not math.isfinite(v) else v
+                              for key, v in zip(CSV_COLUMNS, row)}, allow_nan=False) + "\n"
     else:
         raise ValueError(f"unknown report format {format!r}")
 

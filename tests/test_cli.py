@@ -67,6 +67,25 @@ class TestSimulateCommand:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
+    @pytest.mark.parametrize("update,message", [
+        ({"k_grid": [1.5, 2.9, 10]}, "k_grid entry 1.5 is not an integer"),
+        ({"n": 100.9}, "n 100.9 is not an integer"),
+        ({"N": 2.5}, "N 2.5 is not an integer"),
+        ({"second_order": {"mode": "per_replicate", "k0": 500}},
+         "k0 must lie in 2..n-1 = 99, got 500"),
+        ({"n": 40, "k_grid": [5]}, "'per_replicate' needs n >= 50, got 40"),
+    ])
+    def test_bad_config_values_exit_4(self, tmp_path, capsys, update, message):
+        config = {"model": {"family": "frank", "theta": 0.5}, "n": 100, "N": 3,
+                  "q_grid": [1.0], "k_grid": [10], "master_seed": 3, **update}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "cells.csv"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                               "--out", str(out))
+        assert code == 4 and message in err
+        assert not out.exists()
+
 
 class TestEstimateCommand:
     def test_comonotone_eta_near_one(self, tmp_path, capsys):
@@ -205,6 +224,15 @@ class TestEstimateCommand:
                   "--dry", "0", "--quantile", "0", flag, value])
         assert exc.value.code == 2
         assert f"{flag}: no effect without --reduce-bias" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given", [("--tau", "0.5", "--beta", "0"), ("--tau", "0.5"),
+                                       ("--beta", "0")])
+    def test_k0_with_user_second_order_exit_2(self, uniform_csv, capsys, given):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+                  "--dry", "0", "--quantile", "0", "--reduce-bias", *given, "--k0", "99999"])
+        assert exc.value.code == 2
+        assert "--k0: no effect with --tau or --beta" in capsys.readouterr().err
 
     @pytest.mark.parametrize("q", ["nan", "inf", "1e309", "0.5,nan", "0"])
     def test_non_finite_q_exit_4(self, uniform_csv, capsys, q):

@@ -3,19 +3,20 @@
 The reference builds every ``CellResult`` row up front from the merged
 moments, flags rows by their fail fraction and serialises them one value at
 a time, as the report did before it kept its statistics as columns over the
-path grid.
+path grid.  It walks its own copy of the per-path cell order rather than the
+``CellGrid`` under test, and writes JSONL by the strict rule: a statistic
+that is not finite is null, and an empty grid is an empty file.
 """
 import json
 import math
 from functools import partial
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from residualdep.cli import main
-from residualdep.estimators import Margin
+from residualdep.estimators import EstimatorSpec, Margin
 from residualdep.simulate import CSV_COLUMNS, _evaluate_replicate, _merge_stream, cell_grid, \
     config_from_dict, emit_report, run_study, write_report
 
@@ -46,9 +47,16 @@ def test_columns_match_reference():
     assert CSV_COLUMNS == RefCell._fields
 
 
-def ref_grid_cells(grid):
-    for estimator, spec, ks, kstars in grid:
-        for k, kstar in zip(ks.tolist(), repeat(None) if kstars is None else kstars.tolist()):
+def ref_grid_cells(config):
+    """(estimator, spec, k, k*) per cell: raw paths per margin and q, then reduced-bias
+    paths per q on the shifted-Frechet margin, each over every k of the config."""
+    paths = [("raw", m, q) for m in config.margins for q in config.q_grid]
+    if Margin.FRECHET_SHIFTED in config.margins:
+        paths += [("reduced", Margin.FRECHET_SHIFTED, q) for q in config.q_grid]
+    for estimator, margin, q in paths:
+        spec = EstimatorSpec.conjugate(q, margin=margin)
+        for k in config.k_grid:
+            kstar = config.kstar_rule.resolve(config.n, k) if estimator == "reduced" else None
             yield estimator, spec, k, kstar
 
 
@@ -64,12 +72,17 @@ def ref_cells(config) -> tuple:
     variance = np.where(ok, moments.m2 / np.maximum(moments.count, 1), math.nan)
     bias = np.where(scored, mean - truth, math.nan)
     mse = np.where(scored, variance + bias * bias, math.nan)
-    stats = zip(mean.tolist(), bias.tolist(), variance.tolist(), mse.tolist())
+    cells = tuple(ref_grid_cells(config))
+    assert moments.count.shape[1:] == (len(config.k_grid),)
+    assert moments.count.size == len(cells)
+    stats = zip(mean.ravel().tolist(), bias.ravel().tolist(), variance.ravel().tolist(),
+                mse.ravel().tolist())
     return tuple(
         RefCell(estimator, spec.margin.value, spec.q, spec.a, spec.b, k, k / config.n,
                 kstar, *row, n_ok, config.N - n_ok)
-        for (estimator, spec, k, kstar), row, n_ok in zip(ref_grid_cells(grid), stats,
-                                                          moments.count.tolist())
+        for (estimator, spec, k, kstar), row, n_ok in zip(cells, stats,
+                                                          moments.count.ravel().tolist(),
+                                                          strict=True)
     )
 
 
@@ -79,7 +92,8 @@ def ref_emit(cells, format):
         for cell in cells:
             lines.append(",".join("" if v is None else str(v) for v in cell))
         return "\n".join(lines) + "\n"
-    return "\n".join(json.dumps(cell._asdict()) for cell in cells) + "\n"
+    return "".join(json.dumps({key: None if isinstance(v, float) and not math.isfinite(v) else v
+                               for key, v in cell._asdict().items()}) + "\n" for cell in cells)
 
 
 def ref_warnings(cells) -> str:
@@ -156,3 +170,19 @@ def test_simulate_warnings(study, tmp_path, capsys):
     assert captured.err == ref_warnings(reference)
     assert bool(captured.err) == (name in FLAGGED)  # the warnings are exercised
     assert out.read_text() == ref_emit(reference, "csv")
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def test_jsonl_is_strict_json(study):
+    name, report, reference = study
+    text = emit_report(report, "jsonl")
+    rows = [json.loads(line, parse_constant=_refuse) for line in text.splitlines()]
+    assert len(rows) == len(reference)
+    assert (text == "") == (name == "empty_k_grid")  # an empty grid is an empty file
+    if name == "amh_oracle_all_reduced_fail":  # no ground truth, every reduced cell fails
+        at = {(r["estimator"], r["q"], r["k"]): r for r in rows}
+        assert at["raw", 1.0, 5]["bias"] is None and at["raw", 1.0, 5]["mean"] is not None
+        assert at["reduced", 1.0, 5]["mean"] is None

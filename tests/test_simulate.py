@@ -42,6 +42,14 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             small_config(k_grid=(120,))
 
+    @pytest.mark.parametrize("k_grid", [(1.5, 10), (10, 2.9), (math.inf,), (math.nan,)])
+    def test_k_entry_must_be_integral(self, k_grid):
+        with pytest.raises(ValueError, match="k_grid entry .* is not an integer"):
+            small_config(k_grid=k_grid)
+
+    def test_integral_float_entries_accepted(self):
+        assert small_config(k_grid=(25.0, 0.5, 3)).k_grid == (3, 25, 60)
+
     def test_bad_q(self):
         with pytest.raises(ValueError):
             small_config(q_grid=(0.0, 1.0))
@@ -93,6 +101,43 @@ class TestStudyConfig:
         assert cfg.second_order.tau == 0.5
         cfg2 = load_config(path, master_seed=77)
         assert cfg2.master_seed == 77
+
+    @pytest.mark.parametrize("key,value", [("n", 100.9), ("N", 2.5), ("master_seed", 7.5),
+                                           ("n", math.inf)])
+    def test_non_integral_counts_rejected(self, key, value):
+        doc = {"model": {"family": "frank", "theta": 1.0}, "k_grid": [10], key: value}
+        with pytest.raises(ValueError, match=f"{key} {value!r} is not an integer"):
+            config_from_dict(doc)
+
+    def test_integral_float_counts_accepted(self):
+        cfg = config_from_dict({"model": {"family": "frank", "theta": 1.0}, "n": 100.0,
+                                "N": 4.0, "master_seed": 7.0, "k_grid": [10.0]})
+        assert (cfg.n, cfg.N, cfg.master_seed, cfg.k_grid) == (100, 4, 7, (10,))
+        assert all(type(v) is int for v in (cfg.n, cfg.N, cfg.master_seed, *cfg.k_grid))
+
+    @pytest.mark.parametrize("mode,extra", [("oracle", {}), ("user", {"tau": 0.5, "beta": 0.0})])
+    def test_k0_only_per_replicate(self, mode, extra):
+        with pytest.raises(ValueError, match="k0 acts only in mode 'per_replicate'"):
+            SecondOrderSpec(mode, k0=50, **extra)
+        doc = {"model": {"family": "frank", "theta": 1.0}, "n": 100, "k_grid": [10],
+               "second_order": {"mode": mode, "k0": 50, **extra}}
+        with pytest.raises(ValueError, match="k0 acts only"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("k0", [1, 100, 500])
+    def test_k0_outside_sample_rejected(self, k0):
+        doc = {"model": {"family": "frank", "theta": 1.0}, "n": 100, "k_grid": [10],
+               "second_order": {"mode": "per_replicate", "k0": k0}}
+        with pytest.raises(ValueError, match=r"k0 must lie in 2\.\.n-1 = 99"):
+            config_from_dict(doc)
+        doc["second_order"]["k0"] = 99
+        assert config_from_dict(doc).second_order.k0 == 99
+
+    def test_per_replicate_needs_50_rows(self):
+        with pytest.raises(ValueError, match="'per_replicate' needs n >= 50, got 49"):
+            small_config(n=49, k_grid=(6,), second_order=SecondOrderSpec())
+        # no reduced-bias paths: the second-order spec is never used
+        small_config(n=49, k_grid=(6,), margins=("pareto_t",), second_order=SecondOrderSpec())
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -171,10 +216,39 @@ class TestRunStudy:
         for drop in range(cfg.N):
             kept = [v for r, v in enumerate(values) if r != drop]
             merged = _merge_stream(iter(kept))
-            stacked = np.vstack(kept)
+            stacked = np.stack(kept)
             np.testing.assert_allclose(merged.mean, np.nanmean(stacked, axis=0), atol=1e-10)
             np.testing.assert_allclose(merged.m2 / merged.count,
                                        np.nanvar(stacked, axis=0), atol=1e-10)
+
+    @pytest.mark.parametrize("reduced,k_grid", [(True, (1, 6, 12, 35)), (False, (1, 6, 12, 35)),
+                                                (True, ())])
+    def test_grid_rows_are_direct_path_calls(self, reduced, k_grid):
+        # row p of the (paths, k) estimates is the kernel call on path p, bit for bit
+        from residualdep import SecondOrderParams, effective_tau
+        from residualdep.bias import reduced_bias_path
+        from residualdep.estimators import m_ab_path, sorted_margin
+        from residualdep.simulate import ALL_MARGINS, cell_grid, evaluate_cells
+        grid = cell_grid(ALL_MARGINS, (0.5, 1.0, 1.5), k_grid, KstarRule.pow_n(), 120, reduced)
+        assert all(len(path) == 2 for path in grid.paths)
+        assert len(grid.paths) == (12 if reduced else 9)
+        assert (grid.kstars is None) == (not reduced)
+        u, v = sample_copula(CopulaModel("amh", -1.0), 120, replicate_generator(7, 0))
+        pseudo = PseudoSample.from_sample(BivariateSample(u, v))
+        so = SecondOrderParams(effective_tau(1 / 3, 2 / 3), 0.0, k0=0)
+        etas = evaluate_cells(pseudo, grid, so)
+        assert etas.shape == (len(grid.paths), len(k_grid))
+        for row, (estimator, spec) in zip(etas, grid.paths):
+            if estimator == "raw":
+                want = m_ab_path(sorted_margin(pseudo, spec.margin), grid.ks, spec.a, spec.b)
+            else:
+                want = reduced_bias_path(pseudo, grid.ks, grid.kstars, spec.a, so)
+            assert row.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+        # without second-order parameters every reduced-bias row is NaN, the raw rows stay
+        unresolved = evaluate_cells(pseudo, grid, None)
+        raw = np.array([path.estimator == "raw" for path in grid.paths])
+        assert unresolved[raw].tobytes() == etas[raw].tobytes()
+        assert np.isnan(unresolved[~raw]).all()
 
     def test_failures_counted_not_fatal(self):
         # oracle mode without ground truth: every reduced cell fails, raw fine
@@ -247,7 +321,7 @@ class TestEmitReport:
             for field in ("q", "a", "b", "k_over_n", "mean", "bias", "variance", "mse"):
                 got, want = row[field], getattr(cell, field)
                 if isinstance(want, float) and math.isnan(want):
-                    assert math.isnan(got)
+                    assert got is None if fmt == "jsonl" else math.isnan(got)
                 else:
                     assert got == pytest.approx(want, abs=1e-12)
 
