@@ -173,8 +173,9 @@ class StudyConfig:
     ``k_grid`` entries may be integers (absolute k; an integral float such as
     25.0 counts) or fractions in (0, 1), floored via [n * f]; ``None`` selects
     every integer k up to [0.3 n].  A study with reduced-bias paths in
-    second-order mode 'per_replicate' needs n >= 50, and a given k0 must lie
-    in 2..n-1.
+    second-order mode 'per_replicate' needs n >= 50; a given k0 must lie in
+    2..n-1, and is rejected when the study has no reduced-bias paths.  A
+    boolean is not a count, a k or a q.
     ``q_grid`` defaults to 0.1, 0.2, ..., 1.9 and ``margins`` to all three
     pseudo-observation scales.  All three grids are resolved sorted and
     de-duplicated, which makes the study grid the report's row order.
@@ -195,6 +196,8 @@ class StudyConfig:
             raise ValueError(f"need n >= 2, got {self.n}")
         if self.N < 1:
             raise ValueError(f"need N >= 1, got {self.N}")
+        if any(isinstance(q, bool) for q in self.q_grid):
+            raise ValueError(f"q_grid values must not be booleans, got {list(self.q_grid)}")
         q_grid = {float(q) for q in self.q_grid}
         if not all(0.0 < q < math.inf for q in q_grid):  # NaN would also leave no sort order
             raise ValueError(f"q_grid values must lie in (0, inf), got {list(self.q_grid)}")
@@ -203,6 +206,9 @@ class StudyConfig:
         object.__setattr__(self, "kstar_rule", KstarRule.parse(self.kstar_rule))
         object.__setattr__(self, "k_grid", self._resolve_k_grid(self.k_grid))
         k0 = self.second_order.k0
+        if k0 is not None and Margin.FRECHET_SHIFTED not in self.margins:
+            raise ValueError("second-order k0: no effect without reduced-bias paths "
+                             "(margins lack 'frechet_shifted')")
         if k0 is not None and not 2 <= k0 <= self.n - 1:
             raise ValueError(f"second-order k0 must lie in 2..n-1 = {self.n - 1}, got {k0}")
         if self.second_order.mode == "per_replicate" and self.n < 50 \
@@ -239,8 +245,9 @@ class StudyConfig:
 
 
 def _integral(name: str, value) -> int:
-    """``value`` as an int; a float must be integral (25.0 passes, 2.5 does not)."""
-    if isinstance(value, float) and not value.is_integer():
+    """``value`` as an int; a float must be integral (25.0 passes, 2.5 does not), and a
+    boolean is not a number."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{name} {value!r} is not an integer")
     return int(value)
 
@@ -477,21 +484,58 @@ def run_study(config: StudyConfig, *, workers: int = 1) -> SimulationReport:
     return SimulationReport(config, grid, np.stack([mean, bias, variance, mse]), moments.count)
 
 
+def _csv_fields(columns, values) -> str:
+    """The CSV fields of ``values``, each followed by its comma (None is empty)."""
+    return "".join(f"{'' if v is None else v}," for v in values)
+
+
+def _json_fields(columns, values) -> str:
+    """``"column": value, `` pairs as ``json.dumps`` writes them; a non-finite float is null."""
+    return json.dumps({c: None if isinstance(v, float) and not math.isfinite(v) else v
+                       for c, v in zip(columns, values)}, allow_nan=False)[1:-1] + ", "
+
+
+# strict JSON has no NaN or infinity: a statistic whose repr is one of these is null
+_JSON_NULL = {"nan": "null", "inf": "null", "-inf": "null"}
+
+
+def _json_numbers(values):
+    strs = list(map(repr, values))
+    return map(_JSON_NULL.get, strs, strs)
+
+
+# a row from its head fields, its k fields and the six statistic columns; a ``{}``
+# field of a Python float or int is its repr
+_CSV_LINE = "{}{}{},{},{},{},{},{}\n".format
+_JSONL_LINE = ('{{{}{}"mean": {}, "bias": {}, "variance": {}, "mse": {}, '
+               '"n_ok": {}, "n_fail": {}}}\n').format
+
+
 def _lines(report: SimulationReport, format: str):
+    """The report's text, one string per path.  Fields that paths share are formatted
+    once per path (estimator..b) or once per grid (k, k_over_n, kstar), and each row
+    by one ``str.format`` mapped over the path's columns."""
     if format == "csv":
         yield ",".join(CSV_COLUMNS) + "\n"
-        # an f-string field of a Python float or int is its str (a float's repr)
-        yield "".join([f"{e},{m},{q},{a},{b},{k},{kn},{'' if kstar is None else kstar},"
-                       f"{mean},{bias},{var},{mse},{ok},{fail}\n"
-                       for e, m, q, a, b, k, kn, kstar, mean, bias, var, mse, ok, fail
-                       in report.rows()])
+        fields, line, numbers = _csv_fields, _CSV_LINE, iter  # statistics as they are
     elif format == "jsonl":
-        # strict JSON has no NaN or infinity: a statistic that is not finite is null
-        for row in report.rows():
-            yield json.dumps({key: None if isinstance(v, float) and not math.isfinite(v) else v
-                              for key, v in zip(CSV_COLUMNS, row)}, allow_nan=False) + "\n"
+        fields, line, numbers = _json_fields, _JSONL_LINE, _json_numbers
     else:
         raise ValueError(f"unknown report format {format!r}")
+    paths, ks, kstars = report.grid
+    ks_list, k_over_n = ks.tolist(), (ks / report.config.n).tolist()
+    kstar_columns = {"raw": [None] * len(ks_list)}
+    if kstars is not None:
+        kstar_columns["reduced"] = kstars.tolist()
+    k_fields = {estimator: [fields(CSV_COLUMNS[5:8], row) for row in zip(ks_list, k_over_n, column)]
+                for estimator, column in kstar_columns.items()}
+    stats = report.stats.tolist()  # mean, bias, variance and mse, each [path][k]
+    n_ok = report.n_ok.tolist()
+    n_fail = (report.config.N - report.n_ok).tolist()
+    for p, (estimator, spec) in enumerate(paths):
+        head = fields(CSV_COLUMNS[:5], (estimator, spec.margin.value, spec.q, spec.a, spec.b))
+        yield "".join(map(line, repeat(head), k_fields[estimator],
+                          *(numbers(column[p]) for column in stats), n_ok[p], n_fail[p]))
 
 
 def emit_report(report: SimulationReport, format: str = "csv") -> str:

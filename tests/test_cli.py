@@ -87,6 +87,26 @@ class TestSimulateCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("update,message", [
+        ({"N": True, "q_grid": [True, 0.5], "k_grid": [True, 20], "master_seed": False},
+         "N True is not an integer"),
+        ({"q_grid": [True, 0.5]}, "q_grid values must not be booleans"),
+        ({"k_grid": [True, 20]}, "k_grid entry True is not an integer"),
+        ({"margins": ["pareto_t"], "second_order": {"mode": "per_replicate", "k0": 60}},
+         "second-order k0: no effect without reduced-bias paths"),
+    ])
+    def test_silent_config_values_exit_4(self, tmp_path, capsys, update, message):
+        config = {"model": {"family": "frank", "theta": 0.5}, "n": 100, "N": 3,
+                  "q_grid": [1.0], "k_grid": [10], "master_seed": 3, **update}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "cells.csv"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                               "--out", str(out))
+        assert code == 4 and message in err
+        assert not out.exists()
+
+
 class TestEstimateCommand:
     def test_comonotone_eta_near_one(self, tmp_path, capsys):
         x = np.linspace(1.0, 100.0, 1000)

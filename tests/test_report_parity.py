@@ -9,11 +9,14 @@ that is not finite is null, and an empty grid is an empty file.
 """
 import json
 import math
+from dataclasses import replace
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from residualdep.cli import main
 from residualdep.estimators import EstimatorSpec, Margin
@@ -186,3 +189,50 @@ def test_jsonl_is_strict_json(study):
         at = {(r["estimator"], r["q"], r["k"]): r for r in rows}
         assert at["raw", 1.0, 5]["bias"] is None and at["raw", 1.0, 5]["mean"] is not None
         assert at["reduced", 1.0, 5]["mean"] is None
+
+
+# floats whose text is easy to get wrong: the non-finite ones (null in JSON), a negative
+# zero, the smallest subnormal, the repr switches to and from exponent notation, and a
+# sum whose repr needs all 17 digits
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-05, 1e+16, 0.1 + 0.2]
+EDGE_CONFIG = {"model": {"family": "frank", "theta": 0.5}, "n": 120, "N": 3,
+               "q_grid": [0.5, 1.0], "k_grid": [5, 10, 20], "second_order": "oracle",
+               "master_seed": 46}
+
+
+def fstring_rows(cells) -> str:
+    return "".join(f"{c.estimator},{c.margin},{c.q},{c.a},{c.b},{c.k},{c.k_over_n},"
+                   f"{'' if c.kstar is None else c.kstar},{c.mean},{c.bias},{c.variance},"
+                   f"{c.mse},{c.n_ok},{c.n_fail}\n" for c in cells)
+
+
+def json_dumps_rows(cells) -> str:
+    return "".join(json.dumps({key: None if isinstance(v, float) and not math.isfinite(v) else v
+                               for key, v in cell._asdict().items()}, allow_nan=False) + "\n"
+                   for cell in cells)
+
+
+@pytest.fixture(scope="module")
+def edge_study():
+    config = config_from_dict(EDGE_CONFIG)
+    return config, run_study(config)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_emitted_edge_floats(edge_study, data):
+    config, report = edge_study
+    drawn = data.draw(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(),
+                               min_size=report.stats.size - len(EDGE_FLOATS),
+                               max_size=report.stats.size - len(EDGE_FLOATS)))
+    n_ok = data.draw(st.lists(st.integers(0, config.N), min_size=report.n_ok.size,
+                              max_size=report.n_ok.size))
+    edited = replace(report, stats=np.array(EDGE_FLOATS + drawn).reshape(report.stats.shape),
+                     n_ok=np.array(n_ok, dtype=np.int64).reshape(report.n_ok.shape))
+    stats = zip(*edited.stats.reshape(4, -1).tolist())
+    cells = [RefCell(estimator, spec.margin.value, spec.q, spec.a, spec.b, k, k / config.n,
+                     kstar, *row, ok, config.N - ok)
+             for (estimator, spec, k, kstar), row, ok
+             in zip(ref_grid_cells(config), stats, n_ok, strict=True)]
+    assert emit_report(edited, "csv") == ",".join(RefCell._fields) + "\n" + fstring_rows(cells)
+    assert emit_report(edited, "jsonl") == json_dumps_rows(cells)

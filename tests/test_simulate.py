@@ -139,6 +139,33 @@ class TestStudyConfig:
         # no reduced-bias paths: the second-order spec is never used
         small_config(n=49, k_grid=(6,), margins=("pareto_t",), second_order=SecondOrderSpec())
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("n", True, "n True is not an integer"),
+        ("N", True, "N True is not an integer"),
+        ("master_seed", False, "master_seed False is not an integer"),
+        ("k_grid", [True, 20], "k_grid entry True is not an integer"),
+        ("k_grid", [10, False], "k_grid entry False is not an integer"),
+        ("q_grid", [True, 0.5], r"q_grid values must not be booleans, got \[True, 0\.5\]"),
+    ])
+    def test_booleans_rejected(self, key, value, message):
+        doc = {"model": {"family": "frank", "theta": 1.0}, "n": 100, "k_grid": [10], key: value}
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(doc)
+
+    def test_empty_q_grid_accepted(self):
+        cfg = config_from_dict({"model": {"family": "frank", "theta": 1.0}, "n": 100,
+                                "k_grid": [10], "q_grid": []})
+        assert cfg.q_grid == ()
+
+    def test_k0_needs_reduced_bias_paths(self):
+        doc = {"model": {"family": "frank", "theta": 1.0}, "n": 100, "k_grid": [10],
+               "margins": ["pareto_t", "frechet_unshifted"],
+               "second_order": {"mode": "per_replicate", "k0": 60}}
+        with pytest.raises(ValueError, match="k0: no effect without reduced-bias paths"):
+            config_from_dict(doc)
+        doc["margins"].append("frechet_shifted")
+        assert config_from_dict(doc).second_order.k0 == 60
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             config_from_dict({"model": {"family": "frank", "theta": 1.0}, "bogus": 1})
