@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 
@@ -180,7 +181,9 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="residualdep",
         description="Residual dependence index estimation for bivariate extremes.",

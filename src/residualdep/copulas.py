@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 
 import numpy as np
-from scipy.special import ndtr, ndtri, owens_t
 
 from .errors import ParameterDomainError
 
@@ -97,6 +97,14 @@ def replicate_generator(master_seed, replicate=None):
     return np.random.Generator(np.random.Philox(ss))
 
 
+@cache
+def _special():
+    """scipy.special, imported at the first Gaussian-family call: no other family needs
+    it, and importing it takes longer than importing numpy and this package."""
+    import scipy.special
+    return scipy.special
+
+
 def _as_generator(seed):
     if isinstance(seed, np.random.Generator):
         return seed
@@ -127,6 +135,7 @@ def sample_copula(model: CopulaModel, n: int, seed) -> tuple[np.ndarray, np.ndar
     theta = model.theta
     fam = model.family
     if fam is Family.GAUSSIAN:
+        ndtr = _special().ndtr
         z1 = rng.standard_normal(n)
         z2 = rng.standard_normal(n)
         u = ndtr(z1)
@@ -199,6 +208,7 @@ def _bvn_cdf_point(u, v, rho):
         return float(v)
     if v == 1.0:
         return float(u)
+    ndtri = _special().ndtri
     h = ndtri(u)
     k = ndtri(v)
     return _std_bvn_cdf(h, k, rho)
@@ -206,6 +216,8 @@ def _bvn_cdf_point(u, v, rho):
 
 def _std_bvn_cdf(h, k, rho):
     """P(X <= h, Y <= k) for standard bivariate normal, exact via Owen's T."""
+    special = _special()
+    ndtr, owens_t = special.ndtr, special.owens_t
     if rho == 0.0:
         return float(ndtr(h) * ndtr(k))
     s = np.sqrt(1.0 - rho * rho)

@@ -23,9 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import NumericDomainError, VarianceDomainError
 from .pseudo import PseudoSample
@@ -212,6 +212,14 @@ def asymptotic_bias(a: float, eta: float, tau: float) -> float:
     return (1.0 - a * eta) / denom
 
 
+@cache
+def _ndtri():
+    """scipy's normal quantile, imported at the first confidence interval: importing
+    scipy.special takes longer than importing numpy and this package."""
+    from scipy.special import ndtri
+    return ndtri
+
+
 def confidence_interval(estimate: float, k: int, a: float, level: float = 0.95):
     """Plug-in normal CI: estimate +/- z_(1+level)/2 * sigma_a(estimate)/sqrt(k).
 
@@ -223,7 +231,7 @@ def confidence_interval(estimate: float, k: int, a: float, level: float = 0.95):
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     sigma = math.sqrt(asymptotic_variance(a, estimate))
-    half_width = ndtri((1.0 + level) / 2.0) * sigma / math.sqrt(k)
+    half_width = _ndtri()((1.0 + level) / 2.0) * sigma / math.sqrt(k)
     return estimate - half_width, estimate + half_width
 
 

@@ -110,18 +110,22 @@ def compute_ranks(sample: BivariateSample, tie_policy=TiePolicy.FIRST_OCCURRENCE
     return rx, ry
 
 
+def _pareto(rmin, n: int) -> np.ndarray:
+    return (n + 1.0) / (n + 1.0 - rmin)
+
+
+def _frechet(rmin, n: int) -> np.ndarray:
+    return -1.0 / np.log(rmin / (n + 1.0))
+
+
 def pareto_pseudo(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
     """Standard-Pareto pseudo-observations T_i from the rank pair."""
-    n = len(rx)
-    rmin = np.minimum(rx, ry)
-    return (n + 1.0) / (n + 1.0 - rmin)
+    return _pareto(np.minimum(rx, ry), len(rx))
 
 
 def frechet_pseudo(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
     """Unit-Frechet pseudo-observations V_i from the rank pair."""
-    n = len(rx)
-    rmin = np.minimum(rx, ry)
-    return -1.0 / np.log(rmin / (n + 1.0))
+    return _frechet(np.minimum(rx, ry), len(rx))
 
 
 def shift_half(v: np.ndarray) -> np.ndarray:
@@ -149,15 +153,24 @@ class PseudoSample:
 
     @classmethod
     def from_ranks(cls, rx: np.ndarray, ry: np.ndarray) -> "PseudoSample":
+        """From marginal ranks; min(rx, ry) must lie in 1..n."""
         rx = np.asarray(rx, dtype=np.int64)
         ry = np.asarray(ry, dtype=np.int64)
         n = len(rx)
-        v_sorted = np.sort(frechet_pseudo(rx, ry))
+        # T and V both increase with r = min(rx, ry) in floating point too: n + 1 - r is
+        # exact and a correctly rounded division keeps the order, and np.log's error of
+        # a few ulps is far below the gap 1/(n+1) between neighbouring ratios r/(n+1).
+        # Sorting the integer r once therefore sorts both.
+        rmin = np.sort(np.minimum(rx, ry))
+        if rmin.size and not 1 <= rmin[0] <= rmin[-1] <= n:
+            raise DataError(f"ranks must lie in 1..n = {n}, "
+                            f"got min(rx, ry) from {rmin[0]} to {rmin[-1]}")
+        v_sorted = _frechet(rmin, n)
         return cls(
             n=n,
             rx=rx,
             ry=ry,
-            t_sorted=np.sort(pareto_pseudo(rx, ry)),
+            t_sorted=_pareto(rmin, n),
             v_sorted=v_sorted,
             vstar_sorted=shift_half(v_sorted),
         )

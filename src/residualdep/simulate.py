@@ -16,7 +16,6 @@ import bisect
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, partial
 from itertools import repeat, starmap
@@ -91,6 +90,8 @@ class KstarRule:
         """Accept 'powP' (e.g. pow0.3), 'sqrtk', or a plain integer."""
         if isinstance(token, KstarRule):
             return token
+        if isinstance(token, bool):
+            raise ValueError(f"kstar_rule {token!r} is not a k* rule")
         if isinstance(token, int):
             return cls.fixed(token)
         token = str(token).strip().lower()
@@ -142,6 +143,8 @@ class SecondOrderSpec:
             raise ValueError(f"second-order k0 acts only in mode 'per_replicate', "
                              f"not {self.mode!r}")
         for name, value in (("tau", self.tau), ("beta", self.beta)):
+            if isinstance(value, bool):
+                raise ValueError(f"second-order {name} {value!r} is not a number")
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"second-order {name} must be finite, got {value}")
 
@@ -175,7 +178,7 @@ class StudyConfig:
     every integer k up to [0.3 n].  A study with reduced-bias paths in
     second-order mode 'per_replicate' needs n >= 50; a given k0 must lie in
     2..n-1, and is rejected when the study has no reduced-bias paths.  A
-    boolean is not a count, a k or a q.
+    boolean is not a count, a k, a q or a k* rule.
     ``q_grid`` defaults to 0.1, 0.2, ..., 1.9 and ``margins`` to all three
     pseudo-observation scales.  All three grids are resolved sorted and
     de-duplicated, which makes the study grid the report's row order.
@@ -256,7 +259,10 @@ def config_from_dict(d: dict) -> StudyConfig:
     """Build a StudyConfig from the documented key-value (JSON) format."""
     d = dict(d)
     model_d = d.pop("model")
-    model = CopulaModel(Family(model_d["family"]), float(model_d["theta"]))
+    theta = model_d["theta"]
+    if isinstance(theta, bool):
+        raise ValueError(f"model theta {theta!r} is not a number")
+    model = CopulaModel(Family(model_d["family"]), float(theta))
     so_raw = d.pop("second_order", "per_replicate")
     if isinstance(so_raw, str):
         so = SecondOrderSpec(mode=so_raw)
@@ -471,6 +477,7 @@ def run_study(config: StudyConfig, *, workers: int = 1) -> SimulationReport:
     if workers <= 1 or config.N == 1:
         moments = _merge_stream(map(evaluate, range(config.N)))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled study needs it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, config.N // (workers * 4))
             moments = _merge_stream(pool.map(evaluate, range(config.N), chunksize=chunk))
@@ -544,8 +551,11 @@ def emit_report(report: SimulationReport, format: str = "csv") -> str:
 
 
 def write_report(report: SimulationReport, path, format: str = "csv") -> None:
+    lines = _lines(report, format)
+    first = next(lines, "")  # an unknown format raises here, before the file is truncated
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(_lines(report, format))
+            fh.write(first)
+            fh.writelines(lines)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc

@@ -8,6 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from residualdep import cli
 from residualdep.cli import main
 
 
@@ -104,6 +105,19 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
                                "--out", str(out))
         assert code == 4 and message in err
+        assert not out.exists()
+
+    def test_boolean_numbers_exit_4(self, tmp_path, capsys):
+        config = {"model": {"family": "frank", "theta": True}, "n": 100, "N": 3,
+                  "q_grid": [1.0], "k_grid": [10], "kstar_rule": True,
+                  "second_order": {"mode": "oracle", "tau": True, "beta": False},
+                  "master_seed": 3}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "cells.csv"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                               "--out", str(out))
+        assert code == 4 and "is not a number" in err
         assert not out.exists()
 
 
@@ -382,6 +396,34 @@ class TestOracleCommand:
     def test_oversized_n_exit_4(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--n", "5000", "--seed", "1")
         assert code == 4
+
+
+def test_main_calls_share_one_parser(uniform_csv, capsys):
+    # main reuses one parser per process; a run of calls must give what each
+    # call gives with a parser of its own
+    ingestion = ("--data", uniform_csv, "--x", "a", "--y", "b", "--dry", "0",
+                 "--quantile", "0.8")
+    calls = [["estimate", *ingestion, "--reduce-bias"], ["second-order", *ingestion],
+             ["estimate", "--data"], ["estimate", *ingestion, "--reduce-bias"]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    own_parser = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        own_parser.append(run(argv))
+    cli.build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+    assert shared == own_parser
+    assert shared[3] == shared[0]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_benchmark_traced_names_exist(monkeypatch):

@@ -1,0 +1,78 @@
+"""A fresh interpreter runs the numpy-only commands without importing scipy or a
+process pool, and imports scipy where the Gaussian family and confidence
+intervals need it."""
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+NUMPY_ONLY = """
+import json, sys
+import numpy as np
+import residualdep.cli as cli
+
+def lazy_modules():
+    return sorted(m for m in ("scipy", "concurrent.futures.process") if m in sys.modules)
+
+assert lazy_modules() == [], lazy_modules()
+with open("cfg.json", "w") as fh:
+    json.dump({"model": {"family": "frank", "theta": 0.5}, "n": 100, "N": 3,
+               "q_grid": [0.5, 1.0], "k_grid": [5, 10],
+               "second_order": {"mode": "oracle"}, "master_seed": 1}, fh)
+rng = np.random.default_rng(5)
+with open("pairs.csv", "w") as fh:
+    fh.write("a,b\\n" + "".join(f"{x!r},{y!r}\\n" for x, y in rng.random((300, 2)).tolist()))
+codes = [
+    cli.main(["simulate", "--config", "cfg.json", "--out", "cells.csv", "--workers", "1"]),
+    cli.main(["second-order", "--data", "pairs.csv", "--x", "a", "--y", "b", "--dry", "0",
+              "--quantile", "0", "--out", "so.csv"]),
+    cli.main(["oracle", "--n", "50", "--seed", "1"]),
+]
+assert codes == [0, 0, 0], codes
+assert lazy_modules() == [], lazy_modules()
+"""
+
+SCIPY_USERS = """
+import sys
+import numpy as np
+from residualdep import CopulaModel, confidence_interval, copula_cdf, sample_copula
+
+assert "scipy" not in sys.modules
+u, v = sample_copula(CopulaModel("gaussian", 0.5), 200, 3)
+assert "scipy" in sys.modules
+assert np.all((0.0 < u) & (u < 1.0)) and np.all((0.0 < v) & (v < 1.0))
+print(repr(copula_cdf(CopulaModel("gaussian", 0.5), 0.3, 0.6)))
+print(repr(confidence_interval(0.5, 100, 0.5)))
+print(u.tobytes().hex()[:64], v.tobytes().hex()[:64])
+"""
+
+
+def run_fresh(script, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_numpy_only_commands_import_no_scipy_and_no_pool(tmp_path):
+    proc = run_fresh(NUMPY_ONLY, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "cells.csv").stat().st_size > 0
+    assert (tmp_path / "so.csv").read_text().startswith("tau_hat,beta_hat,k0,n\n")
+
+
+def test_scipy_users_work_in_a_fresh_interpreter(tmp_path):
+    from residualdep import CopulaModel, confidence_interval, copula_cdf, sample_copula
+
+    proc = run_fresh(SCIPY_USERS, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    u, v = sample_copula(CopulaModel("gaussian", 0.5), 200, 3)
+    assert proc.stdout.splitlines() == [
+        repr(copula_cdf(CopulaModel("gaussian", 0.5), 0.3, 0.6)),
+        repr(confidence_interval(0.5, 100, 0.5)),
+        f"{u.tobytes().hex()[:64]} {v.tobytes().hex()[:64]}",
+    ]

@@ -184,6 +184,25 @@ class TestPseudoValues:
             brute = np.sort((n + 1.0) / (n + 1.0 - np.sort(rmin)))
             assert_allclose(p.t_sorted, brute, rtol=0, atol=0)
 
+    def test_from_ranks_matches_sorting_each_sequence(self):
+        # from_ranks sorts min(rx, ry) once; sorting T and V themselves is the reference
+        rng = np.random.default_rng(31)
+        for n in [*range(2, 70), 257, 1000, 20000]:
+            rx, ry = rng.permutation(n) + 1, rng.permutation(n) + 1
+            for ranks in ((rx, ry), (rx, rx), (rx, n + 1 - rx)):
+                p = PseudoSample.from_ranks(*ranks)
+                t_ref = np.sort(pareto_pseudo(*ranks))
+                v_ref = np.sort(frechet_pseudo(*ranks))
+                assert p.t_sorted.tobytes() == t_ref.tobytes(), n
+                assert p.v_sorted.tobytes() == v_ref.tobytes(), n
+                assert p.vstar_sorted.tobytes() == shift_half(v_ref).tobytes(), n
+
+    @pytest.mark.parametrize("rx,ry", [([0, 2, 3], [1, 3, 2]), ([4, 2, 3], [4, 3, 2]),
+                                       ([1, 2, -3], [1, 2, 3])])
+    def test_from_ranks_rejects_ranks_outside_1_to_n(self, rx, ry):
+        with pytest.raises(DataError, match="ranks must lie in 1..n = 3"):
+            PseudoSample.from_ranks(np.array(rx), np.array(ry))
+
     def test_rejects_nan_and_mismatched(self):
         with pytest.raises(DataError):
             BivariateSample(np.array([1.0, np.nan]), np.array([1.0, 2.0]))

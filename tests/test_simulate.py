@@ -8,7 +8,8 @@ import pytest
 
 from residualdep import BivariateSample, CopulaModel, EstimatorSpec, KstarRule, Margin, \
     ParameterDomainError, PseudoSample, SecondOrderSpec, StudyConfig, config_from_dict, \
-    emit_report, eta_hat, load_config, replicate_generator, run_study, sample_copula
+    emit_report, eta_hat, load_config, replicate_generator, run_study, sample_copula, \
+    write_report
 from residualdep.simulate import CSV_COLUMNS, DEFAULT_Q_GRID
 
 
@@ -151,6 +152,24 @@ class TestStudyConfig:
         doc = {"model": {"family": "frank", "theta": 1.0}, "n": 100, "k_grid": [10], key: value}
         with pytest.raises(ValueError, match=message):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("update,message", [
+        ({"model": {"family": "frank", "theta": True}}, "model theta True is not a number"),
+        ({"kstar_rule": True}, "kstar_rule True is not a k\\* rule"),
+        ({"second_order": {"mode": "oracle", "tau": True}}, "second-order tau True is not a number"),
+        ({"second_order": {"mode": "oracle", "beta": False}},
+         "second-order beta False is not a number"),
+    ], ids=["theta", "kstar_rule", "tau", "beta"])
+    def test_boolean_numbers_rejected(self, update, message):
+        doc = {"model": {"family": "frank", "theta": 1.0}, "n": 100, "k_grid": [10], **update}
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(doc)
+
+    def test_boolean_kstar_and_second_order_rejected_directly(self):
+        with pytest.raises(ValueError, match="kstar_rule False"):
+            KstarRule.parse(False)
+        with pytest.raises(ValueError, match="second-order beta True"):
+            SecondOrderSpec(mode="user", tau=0.5, beta=True)
 
     def test_empty_q_grid_accepted(self):
         cfg = config_from_dict({"model": {"family": "frank", "theta": 1.0}, "n": 100,
@@ -355,6 +374,18 @@ class TestEmitReport:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report(run_study(small_config(N=2)), "xml")
+
+    def test_write_unknown_format_leaves_file(self, tmp_path):
+        report = run_study(small_config(N=2))
+        path = tmp_path / "cells.csv"
+        write_report(report, path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            write_report(report, path, "xml")
+        assert path.read_bytes() == before
+        with pytest.raises(ValueError, match="unknown report format"):
+            write_report(report, tmp_path / "new.csv", "xml")
+        assert not (tmp_path / "new.csv").exists()
 
 
 def _parse(text, fmt):
