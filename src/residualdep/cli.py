@@ -38,6 +38,13 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
+def positive_int(token: str) -> int:
+    value = int(token)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_ingestion_flags(parser):
     parser.add_argument("--data", required=True, help="input CSV of paired observations")
     parser.add_argument("--x", required=True, help="column name of the first margin")
@@ -194,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON study config")
     p.add_argument("--out", required=True, help="output path for the cell table")
     p.add_argument("--seed", type=int, default=None, help="override the config master seed")
-    p.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--workers", type=positive_int, default=1,
+                   help="worker processes (default 1)")
     p.add_argument("--format", default="csv", choices=["csv", "jsonl"])
     p.set_defaults(func=cmd_simulate)
 

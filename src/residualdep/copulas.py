@@ -26,7 +26,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, real
 
 __all__ = [
     "Family",
@@ -60,7 +60,7 @@ class CopulaModel:
     def __post_init__(self):
         fam = Family(self.family)
         object.__setattr__(self, "family", fam)
-        theta = float(self.theta)
+        theta = float(real("model theta", self.theta))
         object.__setattr__(self, "theta", theta)
         if fam is Family.FGM:
             if not -1.0 <= theta <= 1.0:
@@ -196,36 +196,21 @@ def copula_cdf(model: CopulaModel, u, v):
 
 
 def _gaussian_cdf(u, v, rho):
-    u, v = np.broadcast_arrays(u, v)
-    flat = [_bvn_cdf_point(float(a), float(b), rho) for a, b in zip(u.ravel(), v.ravel())]
-    return np.asarray(flat, dtype=float).reshape(u.shape)
-
-
-def _bvn_cdf_point(u, v, rho):
-    if u == 0.0 or v == 0.0:
-        return 0.0
-    if u == 1.0:
-        return float(v)
-    if v == 1.0:
-        return float(u)
-    ndtri = _special().ndtri
-    h = ndtri(u)
-    k = ndtri(v)
-    return _std_bvn_cdf(h, k, rho)
-
-
-def _std_bvn_cdf(h, k, rho):
-    """P(X <= h, Y <= k) for standard bivariate normal, exact via Owen's T."""
+    """P(X <= ndtri(u), Y <= ndtri(v)) for the standard bivariate normal with correlation
+    ``rho``, exact via Owen's T; u or v on {0, 1} gives the Frechet boundary values."""
     special = _special()
     ndtr, owens_t = special.ndtr, special.owens_t
-    if rho == 0.0:
-        return float(ndtr(h) * ndtr(k))
-    s = np.sqrt(1.0 - rho * rho)
-    if h == 0.0:
-        return float(0.5 * ndtr(k) - owens_t(k, -rho / s))
-    if k == 0.0:
-        return float(0.5 * ndtr(h) - owens_t(h, -rho / s))
-    t1 = owens_t(h, (k - rho * h) / (h * s))
-    t2 = owens_t(k, (h - rho * k) / (k * s))
-    delta = 0.5 if h * k < 0.0 else 0.0
-    return float(0.5 * (ndtr(h) + ndtr(k)) - t1 - t2 - delta)
+    h, k = special.ndtri(u), special.ndtri(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if rho == 0.0:
+            inner = ndtr(h) * ndtr(k)
+        else:
+            s = np.sqrt(1.0 - rho * rho)
+            t1 = owens_t(h, (k - rho * h) / (h * s))
+            t2 = owens_t(k, (h - rho * k) / (k * s))
+            inner = np.where(h == 0.0, 0.5 * ndtr(k) - owens_t(k, -rho / s),
+                             np.where(k == 0.0, 0.5 * ndtr(h) - owens_t(h, -rho / s),
+                                      0.5 * (ndtr(h) + ndtr(k)) - t1 - t2
+                                      - np.where(h * k < 0.0, 0.5, 0.0)))
+    return np.where((u == 0.0) | (v == 0.0), 0.0,
+                    np.where(u == 1.0, v, np.where(v == 1.0, u, inner)))

@@ -1,8 +1,9 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the check that a value is a number.
 
 The CLI maps these onto process exit codes: data problems exit with 3,
 numeric-domain problems with 4 (usage errors exit with 2 via argparse).
 """
+import numbers
 
 
 class ResidualDepError(Exception):
@@ -35,3 +36,10 @@ class ConstraintError(NumericDomainError):
 
 class EstimationError(ResidualDepError, RuntimeError):
     """An estimation procedure failed on the given data (degenerate tail, ...)."""
+
+
+def real(name: str, value, what: str = "a number"):
+    """``value``, unless it is a boolean or not a real number (a JSON string is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} {value!r} is not {what}")
+    return value

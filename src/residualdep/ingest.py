@@ -12,6 +12,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import compress
 
 import numpy as np
 
@@ -155,21 +156,14 @@ def ingest(spec: IngestionSpec) -> BivariateSample:
     """
     x, y, labels, (n_read, n_na, n_date) = _parse_rows(spec)
 
-    wet = (x >= spec.dry_threshold) & (y >= spec.dry_threshold)
-    x, y = x[wet], y[wet]
-    labels = [lab for lab, keep in zip(labels, wet) if keep]
-    n_dry = len(wet) - len(x)
-
-    if len(x) and spec.quantile_filter > 0.0:
-        qx = empirical_quantile(x, spec.quantile_filter)
-        qy = empirical_quantile(y, spec.quantile_filter)
-        if spec.either:
-            keep = (x > qx) | (y > qy)
-        else:
-            keep = (x > qx) & (y > qy)
-        x, y = x[keep], y[keep]
-        labels = [lab for lab, kept in zip(labels, keep) if kept]
-    n_quantile = len(wet) - n_dry - len(x)
+    keep = (x >= spec.dry_threshold) & (y >= spec.dry_threshold)
+    n_wet = int(np.count_nonzero(keep))
+    if n_wet and spec.quantile_filter > 0.0:
+        qx = empirical_quantile(x[keep], spec.quantile_filter)
+        qy = empirical_quantile(y[keep], spec.quantile_filter)
+        keep &= ((x > qx) | (y > qy)) if spec.either else ((x > qx) & (y > qy))
+    x, y = x[keep], y[keep]
+    n_dry, n_quantile = len(keep) - n_wet, n_wet - len(x)
 
     if len(x) < 50:
         raise DataError(
@@ -178,5 +172,5 @@ def ingest(spec: IngestionSpec) -> BivariateSample:
             f"Read {n_read} rows, dropped {n_na} NA/NaN, {n_date} by date, "
             f"{n_dry} dry, {n_quantile} by quantile"
         )
-    have_labels = spec.date_col is not None
-    return BivariateSample(x, y, labels=tuple(labels) if have_labels else None)
+    labels = tuple(compress(labels, keep)) if spec.date_col is not None else None
+    return BivariateSample(x, y, labels=labels)

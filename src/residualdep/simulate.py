@@ -16,7 +16,8 @@ import bisect
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+import numbers
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cached_property, partial
 from itertools import repeat, starmap
 from operator import itemgetter
@@ -26,8 +27,8 @@ import numpy as np
 
 from .bias import SecondOrderParams, SecondOrderSource, effective_tau, \
     estimate_second_order, reduced_bias_path
-from .copulas import CopulaModel, Family, replicate_generator, sample_copula
-from .errors import ParameterDomainError, ResidualDepError
+from .copulas import CopulaModel, replicate_generator, sample_copula
+from .errors import ParameterDomainError, ResidualDepError, real
 from .estimators import EstimatorSpec, Margin, m_ab_path, sorted_margin
 from .pseudo import BivariateSample, PseudoSample
 
@@ -142,10 +143,10 @@ class SecondOrderSpec:
         if self.k0 is not None and self.mode != "per_replicate":
             raise ValueError(f"second-order k0 acts only in mode 'per_replicate', "
                              f"not {self.mode!r}")
+        if self.k0 is not None:
+            object.__setattr__(self, "k0", _integral("second-order k0", self.k0))
         for name, value in (("tau", self.tau), ("beta", self.beta)):
-            if isinstance(value, bool):
-                raise ValueError(f"second-order {name} {value!r} is not a number")
-            if value is not None and not math.isfinite(value):
+            if value is not None and not math.isfinite(real(f"second-order {name}", value)):
                 raise ValueError(f"second-order {name} must be finite, got {value}")
 
     def resolve(self, model: CopulaModel, pseudo: PseudoSample) -> SecondOrderParams:
@@ -195,13 +196,15 @@ class StudyConfig:
     second_order: SecondOrderSpec = field(default_factory=SecondOrderSpec)
 
     def __post_init__(self):
+        for name in ("n", "N", "master_seed"):
+            object.__setattr__(self, name, _integral(name, getattr(self, name)))
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
         if self.N < 1:
             raise ValueError(f"need N >= 1, got {self.N}")
         if any(isinstance(q, bool) for q in self.q_grid):
             raise ValueError(f"q_grid values must not be booleans, got {list(self.q_grid)}")
-        q_grid = {float(q) for q in self.q_grid}
+        q_grid = {float(real("q_grid value", q)) for q in self.q_grid}
         if not all(0.0 < q < math.inf for q in q_grid):  # NaN would also leave no sort order
             raise ValueError(f"q_grid values must lie in (0, inf), got {list(self.q_grid)}")
         object.__setattr__(self, "q_grid", tuple(sorted(q_grid)))
@@ -223,6 +226,7 @@ class StudyConfig:
             return tuple(range(1, int(0.3 * self.n) + 1))
         ks = []
         for entry in raw:
+            real("k_grid entry", entry, "an integer")
             k = int(self.n * entry) if 0 < entry < 1 else _integral("k_grid entry", entry)
             if not 1 <= k < self.n:
                 raise ValueError(f"k_grid entry {entry!r} resolves to k={k}, need 1 <= k < n")
@@ -249,40 +253,37 @@ class StudyConfig:
 
 def _integral(name: str, value) -> int:
     """``value`` as an int; a float must be integral (25.0 passes, 2.5 does not), and a
-    boolean is not a number."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    boolean or a string is not a number."""
+    if not isinstance(real(name, value, "an integer"), numbers.Integral) \
+            and not float(value).is_integer():
         raise ValueError(f"{name} {value!r} is not an integer")
     return int(value)
 
 
+def _init_kwargs(cls, d: dict, where: str) -> dict:
+    """``d``, checked as keyword arguments of dataclass ``cls``: its keys must be init
+    fields of ``cls``, and every init field without a default must be among them."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {d!r}")
+    init = [f for f in fields(cls) if f.init]
+    if unknown := sorted(set(d) - {f.name for f in init}):
+        raise ValueError(f"{where}: unknown keys {unknown}")
+    for f in init:
+        if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{where}: missing key {f.name!r}")
+    return d
+
+
 def config_from_dict(d: dict) -> StudyConfig:
-    """Build a StudyConfig from the documented key-value (JSON) format."""
-    d = dict(d)
-    model_d = d.pop("model")
-    theta = model_d["theta"]
-    if isinstance(theta, bool):
-        raise ValueError(f"model theta {theta!r} is not a number")
-    model = CopulaModel(Family(model_d["family"]), float(theta))
-    so_raw = d.pop("second_order", "per_replicate")
-    if isinstance(so_raw, str):
-        so = SecondOrderSpec(mode=so_raw)
-    else:
-        so = SecondOrderSpec(
-            mode=so_raw.get("mode", "user"),
-            tau=so_raw.get("tau"),
-            beta=so_raw.get("beta"),
-            k0=so_raw.get("k0"),
-        )
-    kwargs = {}
-    for key in ("n", "N", "master_seed"):
-        if key in d:
-            kwargs[key] = _integral(key, d.pop(key))
-    for key in ("q_grid", "k_grid", "margins", "kstar_rule"):
-        if key in d:
-            kwargs[key] = d.pop(key)
-    if d:
-        raise ValueError(f"unknown study-config keys: {sorted(d)}")
-    return StudyConfig(model=model, second_order=so, **kwargs)
+    """Build a StudyConfig from the documented key-value (JSON) format: the keys at each
+    level are the init fields of the dataclass built there, which checks the values."""
+    d = dict(_init_kwargs(StudyConfig, d, "study config"))
+    d["model"] = CopulaModel(**_init_kwargs(CopulaModel, d["model"], "model"))
+    so = d.get("second_order", "per_replicate")
+    so = {"mode": so} if isinstance(so, str) else \
+        {"mode": "user", **_init_kwargs(SecondOrderSpec, so, "second_order")}
+    d["second_order"] = SecondOrderSpec(**so)
+    return StudyConfig(**d)
 
 
 def load_config(path, master_seed: int | None = None) -> StudyConfig:

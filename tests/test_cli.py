@@ -120,6 +120,39 @@ class TestSimulateCommand:
         assert code == 4 and "is not a number" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("update,message", [
+        ({"model": None}, "study config: missing key 'model'"),
+        ({"second_order": {"mode": "oracle", "tua": 0.3}}, "second_order: unknown keys ['tua']"),
+        ({"n": "200"}, "n '200' is not an integer"),
+        ({"k_grid": ["25"]}, "k_grid entry '25' is not an integer"),
+        ({"second_order": {"mode": "user", "tau": "0.3", "beta": 0}},
+         "second-order tau '0.3' is not a number"),
+    ], ids=["no_model", "unknown_second_order_key", "n_string", "k_string", "tau_string"])
+    def test_config_key_and_type_errors_exit_4(self, tmp_path, capsys, update, message):
+        config = {"model": {"family": "amh", "theta": 0.3}, "n": 100, "N": 3,
+                  "q_grid": [1.0], "k_grid": [10], "master_seed": 3, **update}
+        config = {key: value for key, value in config.items() if value is not None}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "cells.csv"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                               "--out", str(out))
+        assert code == 4 and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {"family": "frank", "theta": 0.5}, "n": 100,
+                                        "N": 2, "q_grid": [1.0], "k_grid": [10]}))
+        out = tmp_path / "cells.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                  "--workers", workers])
+        assert exc.value.code == 2
+        assert f"--workers: must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimateCommand:
     def test_comonotone_eta_near_one(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri, owens_t
 from scipy.stats import kendalltau, kstest, pearsonr
 
 from residualdep import CopulaModel, Family, ParameterDomainError, copula_cdf, \
@@ -46,6 +46,11 @@ class TestModelConstruction:
         with pytest.raises(ParameterDomainError):
             CopulaModel(family, theta)
 
+    @pytest.mark.parametrize("theta", [True, "0.5", None])
+    def test_theta_must_be_a_number(self, theta):
+        with pytest.raises(ValueError, match=f"model theta {theta!r} is not a number"):
+            CopulaModel("frank", theta)
+
 
 class TestCdf:
     def test_fgm_hand_value(self):
@@ -86,6 +91,44 @@ class TestCdf:
         # theta ~ 0 not admissible exactly 0? it is: (-1,1) includes 0
         m = CopulaModel("gaussian", 0.0)
         assert copula_cdf(m, 0.3, 0.7) == pytest.approx(0.21, abs=1e-14)
+
+    @pytest.mark.parametrize("rho", [-0.999, -0.5, -0.1, 0.0, 0.3, 0.9, 0.999])
+    def test_gaussian_matches_per_point_reference(self, rho):
+        """Bit for bit the per-point Owen's T evaluation that the array code replaced."""
+        def reference(u, v):
+            if u == 0.0 or v == 0.0:
+                return 0.0
+            if u == 1.0:
+                return float(v)
+            if v == 1.0:
+                return float(u)
+            h, k = ndtri(u), ndtri(v)
+            if rho == 0.0:
+                return float(ndtr(h) * ndtr(k))
+            s = np.sqrt(1.0 - rho * rho)
+            if h == 0.0:
+                return float(0.5 * ndtr(k) - owens_t(k, -rho / s))
+            if k == 0.0:
+                return float(0.5 * ndtr(h) - owens_t(h, -rho / s))
+            t1 = owens_t(h, (k - rho * h) / (h * s))
+            t2 = owens_t(k, (h - rho * k) / (k * s))
+            delta = 0.5 if h * k < 0.0 else 0.0
+            return float(0.5 * (ndtr(h) + ndtr(k)) - t1 - t2 - delta)
+
+        m = CopulaModel("gaussian", rho)
+        grid = np.concatenate([[0.0, 1e-300, 1e-12, 0.5, 1 - 1e-12, 1.0],
+                               np.linspace(0.0, 1.0, 41)])
+        u, v = np.meshgrid(grid, grid)
+        want = np.array([reference(a, b) for a, b in zip(u.ravel().tolist(), v.ravel().tolist())])
+        got = copula_cdf(m, u, v)
+        assert got.shape == u.shape
+        assert got.ravel().view(np.int64).tolist() == want.view(np.int64).tolist()
+        for a, b in [(0.3, 0.7), (0.5, 0.5), (0.0, 0.2), (1.0, 0.4), (0.5, 1e-300)]:
+            value = copula_cdf(m, a, b)
+            assert type(value) is float and repr(value) == repr(reference(a, b))
+        row = copula_cdf(m, grid[:, None], 0.25)  # broadcasts against a scalar
+        assert row.shape == (len(grid), 1)
+        assert row.ravel().tolist() == [reference(a, 0.25) for a in grid.tolist()]
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.family.value}_{m.theta}")
     def test_two_increasing_on_grid(self, model):

@@ -189,6 +189,86 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="unknown"):
             config_from_dict({"model": {"family": "frank", "theta": 1.0}, "bogus": 1})
 
+    @pytest.mark.parametrize("update,message", [
+        ({"model": {"family": "frank", "theta": 1.0, "rho": 0.5}}, r"model: unknown keys \['rho'\]"),
+        ({"second_order": {"mode": "oracle", "tua": 0.3}},
+         r"second_order: unknown keys \['tua'\]"),
+    ], ids=["model", "second_order"])
+    def test_unknown_nested_keys_rejected(self, update, message):
+        doc = {"model": {"family": "frank", "theta": 1.0}, "n": 100, "k_grid": [10], **update}
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["family", "theta"])
+    def test_missing_model_key_rejected(self, key):
+        model = {"family": "frank", "theta": 1.0}
+        del model[key]
+        with pytest.raises(ValueError, match=f"model: missing key '{key}'"):
+            config_from_dict({"model": model, "n": 100, "k_grid": [10]})
+
+    @pytest.mark.parametrize("doc,message", [
+        ([1, 2], r"study config must be a JSON object, got \[1, 2\]"),
+        ({"model": "frank"}, "model must be a JSON object, got 'frank'"),
+        ({"model": {"family": "frank", "theta": 1.0}, "second_order": None},
+         "second_order must be a JSON object, got None"),
+    ], ids=["top", "model", "second_order"])
+    def test_non_object_levels_rejected(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("key,value", [("n", 200.5), ("N", 2.5), ("master_seed", 1.5)])
+    def test_library_counts_must_be_integral(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} {value!r} is not an integer"):
+            small_config(**{key: value})
+
+    def test_library_integral_float_counts_become_ints(self):
+        cfg = small_config(n=120.0, N=6.0, master_seed=99.0)
+        assert cfg == small_config()
+        assert all(type(v) is int for v in (cfg.n, cfg.N, cfg.master_seed))
+
+    def test_k0_integral_float_accepted(self):
+        doc = {"model": {"family": "frank", "theta": 1.0}, "n": 200, "k_grid": [10],
+               "second_order": {"mode": "per_replicate", "k0": 150.0}}
+        k0 = config_from_dict(doc).second_order.k0
+        assert k0 == 150 and type(k0) is int
+
+    def test_k0_non_integral_rejected(self):
+        with pytest.raises(ValueError, match="second-order k0 2.5 is not an integer"):
+            SecondOrderSpec(k0=2.5)
+        doc = {"model": {"family": "frank", "theta": 1.0}, "n": 200, "k_grid": [10],
+               "second_order": {"mode": "per_replicate", "k0": 2.5}}
+        with pytest.raises(ValueError, match="second-order k0 2.5 is not an integer"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("update,message", [
+        ({"n": "200"}, "n '200' is not an integer"),
+        ({"k_grid": ["25"]}, "k_grid entry '25' is not an integer"),
+        ({"k_grid": ["0.1"]}, "k_grid entry '0.1' is not an integer"),
+        ({"q_grid": ["0.5"]}, "q_grid value '0.5' is not a number"),
+        ({"model": {"family": "frank", "theta": "0.5"}}, "model theta '0.5' is not a number"),
+        ({"second_order": {"mode": "user", "tau": "0.3", "beta": 0}},
+         "second-order tau '0.3' is not a number"),
+        ({"second_order": {"mode": "user", "tau": 0.3, "beta": "0"}},
+         "second-order beta '0' is not a number"),
+    ], ids=["n", "k_grid", "k_grid_fraction", "q_grid", "theta", "tau", "beta"])
+    def test_strings_are_not_numbers(self, update, message):
+        doc = {"model": {"family": "frank", "theta": 1.0}, "n": 100, "k_grid": [10], **update}
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"model": {"family": "frank", "theta": 0.5}, "n": 120, "N": 3, "k_grid": [6, 0.1],
+         "second_order": {"mode": "per_replicate", "k0": 100}},
+        {"model": {"family": "amh", "theta": -1.0}, "n": 80, "q_grid": [0.5, 1.5],
+         "margins": ["frechet_shifted"], "kstar_rule": "sqrtk", "second_order": "oracle"},
+        {"model": {"family": "gaussian", "theta": -0.4}, "master_seed": 11, "kstar_rule": 7,
+         "second_order": {"tau": 0.4, "beta": -0.2}},
+    ], ids=["per_replicate", "oracle", "user"])
+    def test_canonical_dict_round_trip(self, doc):
+        cfg = config_from_dict(doc)
+        assert config_from_dict(cfg.canonical_dict()) == cfg
+        assert config_from_dict(json.loads(json.dumps(cfg.canonical_dict()))) == cfg
+
 
 class TestRunStudy:
     def test_single_replicate_equals_direct_evaluation(self):
