@@ -13,8 +13,7 @@ from .copulas import CopulaModel, Family, copula_cdf, replicate_generator, sampl
 from .errors import ConstraintError, DataError, EstimationError, NumericDomainError, \
     ParameterDomainError, ResidualDepError, TieError, VarianceDomainError
 from .estimators import EstimatorSpec, EtaEstimate, Margin, asymptotic_bias, \
-    asymptotic_variance, confidence_interval, eta_hat, m_ab, m_ab_path, point_estimate, \
-    tail_slice
+    asymptotic_variance, confidence_interval, eta_hat, m_ab, m_ab_path, point_estimate
 from .ingest import IngestionSpec, empirical_quantile, ingest
 from .pseudo import BivariateSample, PseudoSample, TiePolicy, compute_ranks, \
     frechet_pseudo, joint_exceedance_count, pareto_pseudo, shift_half
@@ -75,6 +74,5 @@ __all__ = [
     "run_study",
     "sample_copula",
     "shift_half",
-    "tail_slice",
     "write_report",
 ]

@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import ConstraintError, DataError, EstimationError, NumericDomainError, \
     ParameterDomainError
-from .estimators import EtaEstimate, Margin, asymptotic_variance, confidence_interval, \
-    m_ab_path
+from .estimators import EtaEstimate, Margin, m_ab_path, uncertainty
 from .pseudo import PseudoSample
 
 # Not called here (the reduced-bias estimate reaches the kernel through
@@ -145,9 +144,10 @@ def _beta_companion(log_t: np.ndarray, n: int, k0: int, tau: float) -> float:
     desc = log_t[::-1]
     spacings = i * (desc[:k0] - desc[1:k0 + 1])
     x = i / k0
-    d_rho = float(np.mean(x ** (-rho)))
+    x_rho = x ** (-rho)
+    d_rho = float(np.mean(x_rho))
     big_d0 = float(np.mean(spacings))
-    big_dr = float(np.mean(x ** (-rho) * spacings))
+    big_dr = float(np.mean(x_rho * spacings))
     big_d2r = float(np.mean(x ** (-2.0 * rho) * spacings))
     denom = d_rho * big_dr - big_d2r
     if denom == 0.0:
@@ -224,12 +224,7 @@ def reduced_bias_eta(pseudo: PseudoSample, k: int, k_star: int, a: float,
             f"reduced-bias estimate undefined at a={a}, k={k}: M_(a,-a) overflows "
             "or 1 - a*eta + tau <= 0"
         )
-    try:
-        variance = asymptotic_variance(a, eta_rb) / k
-        low, high = confidence_interval(eta_rb, k, a, level)
-    except NumericDomainError:
-        variance = math.nan
-        low = high = math.nan
+    variance, low, high = uncertainty(eta_rb, k, a, level)
     return EtaEstimate(
         eta=eta_rb, k=k, a_used=a, variance=variance, bias_term=math.nan,
         ci_low=low, ci_high=high, margin=Margin.FRECHET_SHIFTED,

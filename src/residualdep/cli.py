@@ -22,7 +22,7 @@ import numpy as np
 from .bias import estimate_second_order
 from .copulas import replicate_generator
 from .errors import DataError, NumericDomainError, ResidualDepError
-from .estimators import Margin, confidence_interval, m_ab
+from .estimators import Margin, m_ab, uncertainty
 from .ingest import IngestionSpec, ingest
 from .pseudo import BivariateSample, PseudoSample, TiePolicy, joint_exceedance_count
 from .simulate import KstarRule, SecondOrderSpec, cell_grid, evaluate_cells, load_config, \
@@ -120,10 +120,7 @@ def cmd_estimate(args) -> int:
         print("q,k,k_over_n,eta,ci_low,ci_high,margin,reduced", file=stream)
         for (estimator, spec), path in zip(grid.paths, etas.tolist()):
             for k, eta in zip(grid.ks.tolist(), path):
-                try:
-                    low, high = confidence_interval(eta, k, spec.a, args.level)
-                except NumericDomainError:
-                    low = high = math.nan
+                _, low, high = uncertainty(eta, k, spec.a, args.level)
                 print(f"{spec.q:g},{k},{k / n:g},{_fmt(eta)},{_fmt(low)},{_fmt(high)},"
                       f"{spec.margin.value},{str(estimator == 'reduced').lower()}", file=stream)
     failed = int(np.isnan(etas).sum())

@@ -143,8 +143,6 @@ def sample_copula(model: CopulaModel, n: int, seed) -> tuple[np.ndarray, np.ndar
         return u, v
     u = rng.random(n)
     w = rng.random(n)
-    if theta == 0.0 and fam in (Family.FGM, Family.AMH):
-        return u, w
     if fam is Family.FGM:
         # dC/du = v + A v(1-v) with A = theta(1-2u); solve the quadratic in v
         # via the rationalised root, stable through A -> 0.

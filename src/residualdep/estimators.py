@@ -42,6 +42,7 @@ __all__ = [
     "asymptotic_variance",
     "asymptotic_bias",
     "confidence_interval",
+    "uncertainty",
 ]
 
 
@@ -73,25 +74,24 @@ class EstimatorSpec:
     @classmethod
     def conjugate(cls, q: float, margin=Margin.PARETO_T) -> "EstimatorSpec":
         """Primary parametrisation a = 1 - 1/q, b = 1/q - 1 (0 < q < inf)."""
-        q = float(q)
-        if not 0.0 < q < math.inf:
-            raise NumericDomainError(f"conjugate parametrisation needs 0 < q < inf, got {q}")
-        if q == 1.0:
-            return cls(a=0.0, b=0.0, margin=Margin(margin), tag="conjugate", q=q)
-        a = 1.0 - 1.0 / q
-        return cls(a=a, b=-a, margin=Margin(margin), tag="conjugate", q=q)
+        return cls._from_q("conjugate", lambda q: 1.0 - 1.0 / q, q, margin)
 
     @classmethod
     def mean_of_order_p(cls, q: float, margin=Margin.PARETO_T) -> "EstimatorSpec":
         """Alternative parametrisation a = 1 - q, b = q - 1 (0 < q < inf)."""
+        return cls._from_q("mean-of-order-p", lambda q: 1.0 - q, q, margin)
+
+    @classmethod
+    def _from_q(cls, name: str, a_of_q, q: float, margin) -> "EstimatorSpec":
+        # a = a_of_q(q), b = -a; at q = 1 exactly Hill, a = b = +0.0 (-a would be -0.0)
         q = float(q)
         if not 0.0 < q < math.inf:
-            raise NumericDomainError(
-                f"mean-of-order-p parametrisation needs 0 < q < inf, got {q}")
+            raise NumericDomainError(f"{name} parametrisation needs 0 < q < inf, got {q}")
+        tag = name.replace("-", "_")
         if q == 1.0:
-            return cls(a=0.0, b=0.0, margin=Margin(margin), tag="mean_of_order_p", q=q)
-        a = 1.0 - q
-        return cls(a=a, b=-a, margin=Margin(margin), tag="mean_of_order_p", q=q)
+            return cls(a=0.0, b=0.0, margin=Margin(margin), tag=tag, q=q)
+        a = a_of_q(q)
+        return cls(a=a, b=-a, margin=Margin(margin), tag=tag, q=q)
 
     @property
     def is_hill(self) -> bool:
@@ -179,17 +179,10 @@ def sorted_margin(pseudo: PseudoSample, margin) -> np.ndarray:
     return getattr(pseudo, _MARGIN_ATTR[Margin(margin)])
 
 
-def tail_slice(pseudo: PseudoSample, k: int, margin) -> np.ndarray:
-    """The ascending slice z_(n-k) .. z_(n) of the requested margin."""
-    n = pseudo.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n - 1 = {n - 1}, got {k}")
-    return sorted_margin(pseudo, margin)[n - k - 1:]
-
-
 def eta_hat(pseudo: PseudoSample, k: int, spec: EstimatorSpec) -> float:
-    """Point estimate of eta at level k under the given estimator spec."""
-    return m_ab(tail_slice(pseudo, k, spec.margin), k, spec.a, spec.b)
+    """Point estimate of eta at level k (1 <= k <= n - 1) under the given estimator spec."""
+    tail = sorted_margin(pseudo, spec.margin)[max(pseudo.n - k - 1, 0):]
+    return m_ab(tail, k, spec.a, spec.b)
 
 
 def asymptotic_variance(a: float, eta: float) -> float:
@@ -255,16 +248,21 @@ class EtaEstimate:
     margin: Margin
 
 
+def uncertainty(estimate: float, k: int, a: float, level: float = 0.95):
+    """(sigma_a^2(estimate) / k, ci_low, ci_high): the plug-in variance of an estimate
+    at level k and its ``confidence_interval``, all three NaN where a * estimate >= 1/2
+    leaves neither defined."""
+    try:
+        return asymptotic_variance(a, estimate) / k, *confidence_interval(estimate, k, a, level)
+    except VarianceDomainError:
+        return math.nan, math.nan, math.nan
+
+
 def point_estimate(pseudo: PseudoSample, k: int, spec: EstimatorSpec,
                    level: float = 0.95, tau: float | None = None) -> EtaEstimate:
     """eta_hat plus variance, bias factor and confidence bounds in one record."""
     eta = eta_hat(pseudo, k, spec)
-    try:
-        variance = asymptotic_variance(spec.a, eta) / k
-        low, high = confidence_interval(eta, k, spec.a, level)
-    except VarianceDomainError:
-        variance = math.nan
-        low = high = math.nan
+    variance, low, high = uncertainty(eta, k, spec.a, level)
     bias = asymptotic_bias(spec.a, eta, tau) if tau is not None else math.nan
     return EtaEstimate(
         eta=eta, k=k, a_used=spec.a, variance=variance, bias_term=bias,

@@ -202,13 +202,14 @@ class StudyConfig:
             raise ValueError(f"need n >= 2, got {self.n}")
         if self.N < 1:
             raise ValueError(f"need N >= 1, got {self.N}")
-        if any(isinstance(q, bool) for q in self.q_grid):
+        if any(isinstance(q, bool) for q in _listed("q_grid", self.q_grid)):
             raise ValueError(f"q_grid values must not be booleans, got {list(self.q_grid)}")
         q_grid = {float(real("q_grid value", q)) for q in self.q_grid}
         if not all(0.0 < q < math.inf for q in q_grid):  # NaN would also leave no sort order
             raise ValueError(f"q_grid values must lie in (0, inf), got {list(self.q_grid)}")
         object.__setattr__(self, "q_grid", tuple(sorted(q_grid)))
-        object.__setattr__(self, "margins", tuple(sorted({Margin(m) for m in self.margins})))
+        margins = {Margin(m) for m in _listed("margins", self.margins)}
+        object.__setattr__(self, "margins", tuple(sorted(margins)))
         object.__setattr__(self, "kstar_rule", KstarRule.parse(self.kstar_rule))
         object.__setattr__(self, "k_grid", self._resolve_k_grid(self.k_grid))
         k0 = self.second_order.k0
@@ -225,7 +226,7 @@ class StudyConfig:
         if raw is None:
             return tuple(range(1, int(0.3 * self.n) + 1))
         ks = []
-        for entry in raw:
+        for entry in _listed("k_grid", raw):
             real("k_grid entry", entry, "an integer")
             k = int(self.n * entry) if 0 < entry < 1 else _integral("k_grid entry", entry)
             if not 1 <= k < self.n:
@@ -249,6 +250,13 @@ class StudyConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _listed(name: str, value):
+    """``value``, unless it is not a list or a tuple (a string is not one)."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
 
 
 def _integral(name: str, value) -> int:

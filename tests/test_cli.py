@@ -107,6 +107,23 @@ class TestSimulateCommand:
         assert code == 4 and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("update,message", [
+        ({"q_grid": 5}, "q_grid must be a list, got 5"),
+        ({"k_grid": 10}, "k_grid must be a list, got 10"),
+        ({"margins": "pareto_t"}, "margins must be a list, got 'pareto_t'"),
+        ({"q_grid": "0.5"}, "q_grid must be a list, got '0.5'"),
+    ], ids=["q_number", "k_number", "margins_string", "q_string"])
+    def test_grid_that_is_not_a_list_exits_4(self, tmp_path, capsys, update, message):
+        config = {"model": {"family": "frank", "theta": 0.5}, "n": 100, "N": 3,
+                  "q_grid": [1.0], "k_grid": [10], "master_seed": 3, **update}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "cells.csv"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                               "--out", str(out))
+        assert code == 4 and message in err
+        assert not out.exists()
+
     def test_boolean_numbers_exit_4(self, tmp_path, capsys):
         config = {"model": {"family": "frank", "theta": True}, "n": 100, "N": 3,
                   "q_grid": [1.0], "k_grid": [10], "kstar_rule": True,

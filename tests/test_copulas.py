@@ -170,6 +170,16 @@ class TestSampler:
         tau, _ = kendalltau(u, v)
         assert abs(tau) < 0.01
 
+    @pytest.mark.parametrize("family", ["fgm", "amh"])
+    @pytest.mark.parametrize("theta", [0.0, -0.0])
+    def test_theta_zero_returns_the_second_draw_bitwise(self, family, theta):
+        # at theta = 0 the conditional inverse is the identity: disc = 1 and v = 2w/2
+        for seed in range(4):
+            rng = replicate_generator(seed)
+            u_draw, w = rng.random(5000), rng.random(5000)
+            u, v = sample_copula(CopulaModel(family, theta), 5000, seed)
+            assert u.tobytes() == u_draw.tobytes() and v.tobytes() == w.tobytes()
+
     def test_gaussian_correlation_recovered(self):
         u, v = sample_copula(CopulaModel("gaussian", 0.6), 100_000, 11)
         r, _ = pearsonr(ndtri(u), ndtri(v))

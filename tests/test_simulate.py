@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,6 +176,22 @@ class TestStudyConfig:
         cfg = config_from_dict({"model": {"family": "frank", "theta": 1.0}, "n": 100,
                                 "k_grid": [10], "q_grid": []})
         assert cfg.q_grid == ()
+
+    def test_grids_as_json_list_or_tuple(self):
+        doc = json.loads('{"model": {"family": "frank", "theta": 1.0}, "n": 100, '
+                         '"q_grid": [1.5, 0.5], "k_grid": [20, 0.1], "margins": ["pareto_t"]}')
+        from_json = config_from_dict(doc)
+        from_tuples = StudyConfig(model=CopulaModel("frank", 1.0), n=100, q_grid=(1.5, 0.5),
+                                  k_grid=(20, 0.1), margins=("pareto_t",))
+        assert from_json == from_tuples
+        assert (from_json.q_grid, from_json.k_grid, from_json.margins) == \
+            ((0.5, 1.5), (10, 20), (Margin.PARETO_T,))
+
+    def test_empty_grids_resolve_empty(self):
+        cfg = config_from_dict({"model": {"family": "frank", "theta": 1.0}, "n": 100,
+                                "q_grid": [], "k_grid": [], "margins": []})
+        assert (cfg.q_grid, cfg.k_grid, cfg.margins) == ((), (), ())
+        assert emit_report(run_study(replace(cfg, N=2))) == ",".join(CSV_COLUMNS) + "\n"
 
     def test_k0_needs_reduced_bias_paths(self):
         doc = {"model": {"family": "frank", "theta": 1.0}, "n": 100, "k_grid": [10],
