@@ -155,7 +155,7 @@ def _beta_companion(log_t: np.ndarray, n: int, k0: int, tau: float) -> float:
     return (k0 / n) ** rho * (d_rho * big_d0 - big_dr) / denom
 
 
-def _corrected(eta_s, a: float, tau: float, beta_term, v_kstar):
+def _corrected(eta_s, a, tau: float, beta_term, v_kstar):
     # the correction, elementwise; NaN where eta_s is NaN or 1 - a*eta_s + tau <= 0
     denom = 1.0 - a * eta_s + tau
     denom = np.where(denom > 0.0, denom, np.nan)
@@ -178,20 +178,21 @@ def corrected_eta(eta_s: float, a: float, tau: float, beta_term: float,
     return eta_rb
 
 
-def reduced_bias_path(pseudo: PseudoSample, ks, kstars, a: float,
-                      so: SecondOrderParams) -> np.ndarray:
+def reduced_bias_path(pseudo: PseudoSample, ks, kstars, a, so: SecondOrderParams,
+                      eta_s) -> np.ndarray:
     """Reduced-bias estimates of eta at every (k, k*) pair; NaN where undefined.
 
-    The base estimates come from one ``m_ab_path`` call on the V* order
-    statistics.  The pairs are taken as given: ``reduced_bias_eta`` is the
+    ``eta_s`` holds the base estimates M_{a,-a} on the V* order statistics at
+    every k of ``ks``: one path for a scalar ``a``, one row per entry of a
+    vector ``a``.  The pairs are taken as given: ``reduced_bias_eta`` is the
     single-pair view that checks k* against sqrt(k).
     """
     ks = np.asarray(ks, dtype=np.intp)
     n = pseudo.n
-    eta_s = m_ab_path(pseudo.vstar_sorted, ks, a, -a)
     beta_term = so.beta_hat * (n / ks) ** (-so.tau_hat)
     v_kstar = pseudo.v_sorted[n - 1 - np.asarray(kstars, dtype=np.intp)]
-    return _corrected(eta_s, a, so.tau_hat, beta_term, v_kstar)
+    a_col = np.asarray(a, dtype=float)[..., None]
+    return _corrected(eta_s, a_col, so.tau_hat, beta_term, v_kstar)
 
 
 def reduced_bias_eta(pseudo: PseudoSample, k: int, k_star: int, a: float,
@@ -218,7 +219,8 @@ def reduced_bias_eta(pseudo: PseudoSample, k: int, k_star: int, a: float,
             f"k_star = {k_star} exceeds sqrt(k) = sqrt({k}); the correction is "
             "only valid for k_star <= sqrt(k)"
         )
-    eta_rb = float(reduced_bias_path(pseudo, [k], [k_star], a, so)[0])
+    eta_s = m_ab_path(pseudo.vstar_sorted, [k], a, -a)
+    eta_rb = float(reduced_bias_path(pseudo, [k], [k_star], a, so, eta_s)[0])
     if math.isnan(eta_rb):
         raise NumericDomainError(
             f"reduced-bias estimate undefined at a={a}, k={k}: M_(a,-a) overflows "

@@ -98,45 +98,45 @@ class EstimatorSpec:
         return self.a == 0.0 and self.b == 0.0
 
 
-def m_ab_path(tail: np.ndarray, ks, a: float, b: float) -> np.ndarray:
+def m_ab_path(tail: np.ndarray, ks, a, b) -> np.ndarray:
     """Evaluate M_{a,b} at every k of ``ks`` (each in 1 .. len(tail) - 1).
 
     Entry j is M_{a,b} over the top ``ks[j]`` values of the ascending,
     positive ``tail`` above the threshold ``tail[-ks[j] - 1]``, or NaN where
-    that is not finite.  With L_0 >= L_1 >= ... the descending logs,
+    that is not finite.  Vectors ``a`` and ``b`` give one such path per (a, b)
+    pair, a row each.  With L_0 >= L_1 >= ... the descending logs,
 
         log A_a(k) = log1p(S_k / k) / a + (L_0 - L_k),
         S_k = sum_{i<k} expm1(a (L_i - L_0)),
 
     and the a = 0 (log-limit) member is sum_{i<k} (L_i - L_0) / k + (L_0 - L_k),
-    so one cumulative sum serves every k.  The anchor L_0 is the top value,
-    which makes entry j depend on ``tail[-ks[j] - 1:]`` alone.  For a < 0 the
-    terms grow with i; prefix sums past the float range are taken in log
-    space instead.
+    so one cumulative sum per row serves every k.  The anchor L_0 is the top
+    value, which makes entry j depend on ``tail[-ks[j] - 1:]`` alone.  For
+    a < 0 the terms grow with i; prefix sums past the float range are taken
+    in log space instead.
     """
     ks = np.asarray(ks, dtype=np.intp)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if ks.size == 0:
-        return np.empty(0)
+        return np.empty(a.shape + (0,))
     tail = np.asarray(tail, dtype=float)
     top = int(ks.max())
     if ks.min() < 1 or top >= len(tail):
         raise ValueError(f"need 1 <= k <= {len(tail) - 1} for {len(tail)} values, "
                          f"got k in {ks.min()}..{top}")
+    a_col, b_col = a.reshape(-1, 1), b.reshape(-1, 1)
+    hill = a_col == 0.0
     with np.errstate(all="ignore"):
         logs = np.log(tail[len(tail) - top - 1:])[::-1]
         excess = logs[:-1] - logs[0]
-        if a == 0.0:
-            log_a = np.cumsum(excess)[ks - 1] / ks
-        else:
-            sums = np.cumsum(np.expm1(a * excess))[ks - 1]
-            log_mean = np.log1p(sums / ks)
-            if not np.isfinite(sums).all():
-                lse = np.logaddexp.accumulate(a * excess)[ks - 1]
-                log_mean = np.where(np.isfinite(sums), log_mean, lse - np.log(ks))
-            log_a = log_mean / a
-        log_a += logs[0] - logs[ks]
-        m = log_a if b == 0.0 else np.expm1(b * log_a) / b
-    return np.where(np.isfinite(m), m, np.nan)
+        sums = np.cumsum(np.where(hill, excess, np.expm1(a_col * excess)), axis=-1)[:, ks - 1]
+        log_mean = np.log1p(sums / ks)
+        for row in np.flatnonzero(~np.isfinite(sums).all(axis=-1)):
+            lse = np.logaddexp.accumulate(a_col[row] * excess)[ks - 1]
+            log_mean[row] = np.where(np.isfinite(sums[row]), log_mean[row], lse - np.log(ks))
+        log_a = np.where(hill, sums / ks, log_mean / a_col) + (logs[0] - logs[ks])
+        m = np.where(b_col == 0.0, log_a, np.expm1(b_col * log_a) / b_col)
+    return np.where(np.isfinite(m), m, np.nan).reshape(a.shape + ks.shape)
 
 
 def m_ab(tail: np.ndarray, k: int, a: float, b: float) -> float:
@@ -192,7 +192,11 @@ def asymptotic_variance(a: float, eta: float) -> float:
         raise VarianceDomainError(
             f"a * eta = {ae:.6g} >= 1/2: asymptotic variance undefined for a={a}, eta={eta}"
         )
-    return eta * eta * (1.0 - ae) ** 2 / (1.0 - 2.0 * ae)
+    try:
+        square = (1.0 - ae) ** 2
+    except OverflowError:  # float ** raises where float * gives inf
+        square = math.inf
+    return eta * eta * square / (1.0 - 2.0 * ae)
 
 
 def asymptotic_bias(a: float, eta: float, tau: float) -> float:
@@ -219,12 +223,16 @@ def confidence_interval(estimate: float, k: int, a: float, level: float = 0.95):
     Raises ``VarianceDomainError`` when a * estimate >= 1/2, in which case
     no interval exists for this (a, eta) combination.
     """
+    return _interval(estimate, k, asymptotic_variance(a, estimate), level)
+
+
+def _interval(estimate: float, k: int, sigma2: float, level: float):
+    # the interval of an estimate whose sigma_a^2 is already known
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    sigma = math.sqrt(asymptotic_variance(a, estimate))
-    half_width = _ndtri()((1.0 + level) / 2.0) * sigma / math.sqrt(k)
+    half_width = _ndtri()((1.0 + level) / 2.0) * math.sqrt(sigma2) / math.sqrt(k)
     return estimate - half_width, estimate + half_width
 
 
@@ -253,9 +261,10 @@ def uncertainty(estimate: float, k: int, a: float, level: float = 0.95):
     at level k and its ``confidence_interval``, all three NaN where a * estimate >= 1/2
     leaves neither defined."""
     try:
-        return asymptotic_variance(a, estimate) / k, *confidence_interval(estimate, k, a, level)
+        sigma2 = asymptotic_variance(a, estimate)
     except VarianceDomainError:
         return math.nan, math.nan, math.nan
+    return sigma2 / k, *_interval(estimate, k, sigma2, level)
 
 
 def point_estimate(pseudo: PseudoSample, k: int, spec: EstimatorSpec,

@@ -32,9 +32,9 @@ from .errors import ParameterDomainError, ResidualDepError, real
 from .estimators import EstimatorSpec, Margin, m_ab_path, sorted_margin
 from .pseudo import BivariateSample, PseudoSample
 
-# Not called here (``evaluate_cells`` runs whole paths through ``m_ab_path``
-# and ``reduced_bias_path``), but the benchmark's tracer, bench/runner.py,
-# wraps them under these names.
+# Not called here (``evaluate_cells`` makes one ``m_ab_path`` call per margin
+# and corrects the reduced-bias rows with ``reduced_bias_path``), but the
+# benchmark's tracer, bench/runner.py, wraps them under these names.
 from .bias import reduced_bias_eta  # noqa: F401
 from .estimators import eta_hat  # noqa: F401
 
@@ -339,14 +339,19 @@ def cell_grid(margins, q_grid, k_grid, kstar_rule: KstarRule, n: int,
 
 def evaluate_cells(pseudo: PseudoSample, grid: CellGrid,
                    so: SecondOrderParams | None) -> np.ndarray:
-    """Estimates of one sample on every cell, a (paths, k) array, one kernel call per path:
-    NaN where an estimate is undefined, and on every reduced-bias path when ``so`` is None."""
-    etas = np.full((len(grid.paths), len(grid.ks)), math.nan)
-    for row, (estimator, spec) in zip(etas, grid.paths):
-        if estimator == "raw":
-            row[:] = m_ab_path(sorted_margin(pseudo, spec.margin), grid.ks, spec.a, spec.b)
-        elif so is not None:
-            row[:] = reduced_bias_path(pseudo, grid.ks, grid.kstars, spec.a, so)
+    """Estimates of one sample on every cell, a (paths, k) array, one kernel call per margin
+    (reduced-bias paths are on V*): NaN where an estimate is undefined, and on every
+    reduced-bias path when ``so`` is None."""
+    margins = np.array([spec.margin.value for _, spec in grid.paths])
+    a, b = np.array([(spec.a, spec.b) for _, spec in grid.paths]).reshape(-1, 2).T
+    reduced = np.array([estimator == "reduced" for estimator, _ in grid.paths], dtype=bool)
+    etas = np.empty((len(grid.paths), len(grid.ks)))
+    for margin in dict.fromkeys(margins.tolist()):
+        rows = margins == margin
+        etas[rows] = m_ab_path(sorted_margin(pseudo, margin), grid.ks, a[rows], b[rows])
+    if grid.kstars is not None:
+        etas[reduced] = math.nan if so is None else \
+            reduced_bias_path(pseudo, grid.ks, grid.kstars, a[reduced], so, etas[reduced])
     return etas
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -287,6 +288,48 @@ class TestEstimateCommand:
         _, hill_only, hill_err = run_cli(capsys, *args, "--q", "1")
         assert [r for r in rows if r["q"] == "1"] == parse_estimate_csv(hill_only)
         assert hill_err == ""
+
+    def test_variance_overflow_gives_unbounded_interval(self, uniform_csv, capsys):
+        # q = 0.002 (a = -499): at k = 1, 2 the estimate is so large that (1 - a*eta)^2
+        # overflows a float; the interval is (-inf, inf) instead of a traceback
+        code, out, err = run_cli(
+            capsys, "estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+            "--dry", "0", "--quantile", "0", "--margin", "pareto_t", "--q", "0.002",
+        )
+        assert code == 0 and err == ""
+        rows = [r for r in parse_estimate_csv(out) if r["q"] == "0.002"]
+        assert len(rows) == 600
+        unbounded = [r["k"] for r in rows if (r["ci_low"], r["ci_high"]) == ("-inf", "inf")]
+        assert unbounded == ["1", "2"]
+
+    def test_one_kernel_call_per_margin(self, uniform_csv, capsys, monkeypatch):
+        # the raw paths run on pareto_t, the reduced-bias base rows on frechet_shifted
+        from residualdep import estimators, simulate
+        calls = []
+
+        def counting(tail, ks, a, b):
+            calls.append(len(a))
+            return estimators.m_ab_path(tail, ks, a, b)
+
+        monkeypatch.setattr(simulate, "m_ab_path", counting)
+        code, _, _ = run_cli(
+            capsys, "estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+            "--dry", "0", "--quantile", "0", "--q", "0.5,1.5", "--k-max", "0.02",
+            "--margin", "pareto_t", "--reduce-bias",
+        )
+        assert code == 0 and calls == [3, 3]
+
+    def test_pinned_bytes(self, uniform_csv, capsys):
+        # sha256 of a reduced-bias run with log-space rows (q = 0.001) and four failed
+        # cells, pinned so that a change of any byte shows; taken with numpy 2.4.6 on x86-64
+        code, out, err = run_cli(
+            capsys, "estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+            "--dry", "0", "--quantile", "0", "--q", "0.001,0.5,1.5",
+            "--margin", "pareto_t", "--reduce-bias",
+        )
+        assert code == 0 and "4 of 4800 cells" in err
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "a110ed6b3f06f6582cbe342165fcb9b9069597c25d313ef768bfb404c0a074ee"
 
     def test_reduced_rows_on_shifted_frechet_whatever_margin(self, uniform_csv, capsys):
         code, out, _ = run_cli(

@@ -144,6 +144,21 @@ class TestPathKernel:
             else:
                 assert value == m_ab(tail[-k - 1:], k, a, b)
 
+    @given(tails, st.lists(st.tuples(st.floats(-9.0, 0.9), st.floats(-9.0, 9.0))), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_each_row_is_the_scalar_path(self, tail, pairs, data):
+        # rows of a vector call over the q grid (q = 1 is the Hill row, q = 1e-3 takes the
+        # log-space sums, q = 1e-6 overflows) and of random (a, b) pairs
+        n = len(tail)
+        ks = sorted(data.draw(st.sets(st.integers(1, n - 1), min_size=1)))
+        specs = [EstimatorSpec.conjugate(q) for q in (1e-6, 1e-3, *DEFAULT_Q_GRID)]
+        pairs = [(spec.a, spec.b) for spec in specs] + pairs
+        a, b = (np.array(column) for column in zip(*pairs))
+        rows = m_ab_path(tail, ks, a, b)
+        assert rows.shape == (len(pairs), len(ks))
+        for row, (a_j, b_j) in zip(rows, pairs):
+            assert row.tobytes() == m_ab_path(tail, ks, a_j, b_j).tobytes()
+
     def test_sums_past_the_float_range(self):
         # a = -999 (q = 1e-3): the prefix sums overflow and are taken in log
         # space; b = 0 keeps the result finite
@@ -154,6 +169,9 @@ class TestPathKernel:
 
     def test_empty_and_out_of_range_ks(self):
         assert m_ab_path(TAIL_842, [], 0.5, -0.5).shape == (0,)
+        assert m_ab_path(TAIL_842, [], [0.5, 0.0, -2.0], [-0.5, 0.0, 2.0]).shape == (3, 0)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            m_ab_path(TAIL_842, [1], [0.5, 0.0], [-0.5, 0.0, 0.5])
         for ks in ([0], [4], [1, 2, 4]):
             with pytest.raises(ValueError):
                 m_ab_path(TAIL_842, ks, 0.5, -0.5)

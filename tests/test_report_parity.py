@@ -7,6 +7,7 @@ path grid.  It walks its own copy of the per-path cell order rather than the
 ``CellGrid`` under test, and writes JSONL by the strict rule: a statistic
 that is not finite is null, and an empty grid is an empty file.
 """
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -128,6 +129,28 @@ CONFIGS = {
 FLAGGED = {"amh_oracle_all_reduced_fail", "gaussian_overflow_fixed_kstar"}
 
 
+# sha256 of each config's CSV and JSONL report, pinned so that a change of any byte
+# shows, whatever the reference above does; taken with numpy 2.4.6 on x86-64 (another
+# numpy or platform may round a libm function differently in the last bit)
+PINNED = {
+    "amh_oracle_all_reduced_fail": (
+        "7f76bc1fcd46106ef2078c1a00354533fa799964461979704154ae478f40ac85",
+        "55a1a414ea10e0a05520ced7a46d069f2938f2c2a138769315179131052e52c3"),
+    "empty_k_grid": (
+        "32404f69fcc666ab87ea2f742ff5df74b9b6298dcc847fb79a898fa82d542b09",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "frank_default_grid": (
+        "824e2a963f008f5bc7918f509807e0fde7109f273984203c7ab3bd62cefd866a",
+        "0268ec16151c8fd8d755edd0df603e307e6a7e71bfeb578e34677ff67315047f"),
+    "gaussian_overflow_fixed_kstar": (
+        "412957676ecb4ffea19ea49d21b5a6f1270790433f6396026b8379757db2e668",
+        "b6ab9e1e3fcf9e4ddba2672d0ddf17c7aa23d70e4ee3070e802f05ac46336e37"),
+    "pareto_t_only": (
+        "f1d78718b8a95bdefba871d46c8bc35e670ac702ae69522e5621d69f1fe2ff17",
+        "17c6a3c35206b72a5ac318904f4e2d78cfa68baaa7008dd7a3ccfc3ccadca000"),
+}
+
+
 def _same(a, b) -> bool:
     # repr compares NaN fields by their text, and ints apart from floats
     return repr([tuple(c) for c in a]) == repr([tuple(c) for c in b])
@@ -147,6 +170,13 @@ def test_emitted_bytes(study, format, tmp_path):
     path = tmp_path / "cells.out"
     write_report(report, path, format)
     assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("format", ["csv", "jsonl"])
+def test_pinned_bytes(study, format):
+    name, report, _ = study
+    digest = hashlib.sha256(emit_report(report, format).encode()).hexdigest()
+    assert digest == PINNED[name][format == "jsonl"]
 
 
 def test_cells_and_flagged(study):

@@ -364,29 +364,39 @@ class TestRunStudy:
             np.testing.assert_allclose(merged.m2 / merged.count,
                                        np.nanvar(stacked, axis=0), atol=1e-10)
 
-    @pytest.mark.parametrize("reduced,k_grid", [(True, (1, 6, 12, 35)), (False, (1, 6, 12, 35)),
+    @pytest.mark.parametrize("reduced,k_grid", [(True, (1, 6, 12, 34)), (False, (1, 6, 12, 34)),
                                                 (True, ())])
     def test_grid_rows_are_direct_path_calls(self, reduced, k_grid):
-        # row p of the (paths, k) estimates is the kernel call on path p, bit for bit
+        # row p of the (paths, k) estimates is the scalar kernel call on path p, bit for bit,
+        # on a q grid with the Hill row (q = 1), rows whose prefix sums leave the float range
+        # and are taken in log space (q = 1e-3) and rows that overflow everywhere (q = 1e-6)
         from residualdep import SecondOrderParams, effective_tau
         from residualdep.bias import reduced_bias_path
         from residualdep.estimators import m_ab_path, sorted_margin
         from residualdep.simulate import ALL_MARGINS, cell_grid, evaluate_cells
-        grid = cell_grid(ALL_MARGINS, (0.5, 1.0, 1.5), k_grid, KstarRule.pow_n(), 120, reduced)
+        grid = cell_grid(ALL_MARGINS, (1e-6, 1e-3, 0.5, 1.0, 1.5), k_grid, KstarRule.pow_n(),
+                         120, reduced)
         assert all(len(path) == 2 for path in grid.paths)
-        assert len(grid.paths) == (12 if reduced else 9)
+        assert len(grid.paths) == (20 if reduced else 15)
         assert (grid.kstars is None) == (not reduced)
         u, v = sample_copula(CopulaModel("amh", -1.0), 120, replicate_generator(7, 0))
         pseudo = PseudoSample.from_sample(BivariateSample(u, v))
         so = SecondOrderParams(effective_tau(1 / 3, 2 / 3), 0.0, k0=0)
         etas = evaluate_cells(pseudo, grid, so)
         assert etas.shape == (len(grid.paths), len(k_grid))
+        log_space = overflowed = 0
         for row, (estimator, spec) in zip(etas, grid.paths):
-            if estimator == "raw":
-                want = m_ab_path(sorted_margin(pseudo, spec.margin), grid.ks, spec.a, spec.b)
-            else:
-                want = reduced_bias_path(pseudo, grid.ks, grid.kstars, spec.a, so)
-            assert row.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+            tail = sorted_margin(pseudo, spec.margin)
+            want = m_ab_path(tail, grid.ks, spec.a, spec.b)
+            if estimator == "reduced":
+                want = reduced_bias_path(pseudo, grid.ks, grid.kstars, spec.a, so, want)
+            assert row.tobytes() == want.tobytes()
+            logs = np.log(tail[::-1])
+            with np.errstate(over="ignore"):
+                sums = np.cumsum(np.expm1(spec.a * (logs[:-1] - logs[0])))[grid.ks - 1]
+            log_space += np.count_nonzero(np.isinf(sums) & np.isfinite(row))
+            overflowed += len(k_grid) > 0 and np.isnan(row).all()
+        assert (log_space > 0) == (overflowed > 0) == (len(k_grid) > 0)
         # without second-order parameters every reduced-bias row is NaN, the raw rows stay
         unresolved = evaluate_cells(pseudo, grid, None)
         raw = np.array([path.estimator == "raw" for path in grid.paths])
@@ -418,6 +428,21 @@ class TestRunStudy:
         monkeypatch.setattr("residualdep.simulate.m_ab_path", broken)
         with pytest.raises(exc, match="broken kernel"):
             run_study(small_config(N=2))
+
+    def test_one_kernel_call_per_margin(self, monkeypatch):
+        # each replicate calls the kernel once per margin; the reduced-bias base rows
+        # ride in the shifted-Frechet call, next to its raw rows
+        from residualdep import estimators
+        calls = []
+
+        def counting(tail, ks, a, b):
+            calls.append(len(a))
+            return estimators.m_ab_path(tail, ks, a, b)
+
+        monkeypatch.setattr("residualdep.simulate.m_ab_path", counting)
+        cfg = small_config(N=4, margins=("pareto_t", "frechet_shifted", "frechet_unshifted"))
+        run_study(cfg)
+        assert calls == [4, 2, 2] * 4  # frechet_shifted, frechet_unshifted, pareto_t
 
     def test_kernel_overflow_counted_as_failure(self):
         # q = 1e-6 gives b = 999999, where M_{a,b} overflows: a domain error

@@ -104,6 +104,13 @@ class TestUncertainty:
             undefined = a * eta >= 0.5
             assert [math.isnan(x) for x in uncertainty(eta, 10, a)] == [undefined] * 3
 
+    def test_variance_overflow_is_infinite(self):
+        # at eta = 1e153, a = -499 the square (1 - a*eta)^2 overflows a float, where
+        # ** raises; at eta = 1e150 only the product with eta^2 overflows, to inf
+        for eta in (1e150, 1e153):
+            assert asymptotic_variance(-499.0, eta) == math.inf
+            assert uncertainty(eta, 10, -499.0) == (math.inf, -math.inf, math.inf)
+
 
 class TestQConstructors:
     QS = list(DEFAULT_Q_GRID) + [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
