@@ -118,11 +118,12 @@ def cmd_estimate(args) -> int:
 
     with _out_stream(args.out) as stream:
         print("q,k,k_over_n,eta,ci_low,ci_high,margin,reduced", file=stream)
-        for (estimator, spec), path in zip(grid.paths, etas.tolist()):
+        for estimator, margin, q, a, path in zip(grid.estimator.tolist(), grid.margin.tolist(),
+                                                 grid.q.tolist(), grid.a.tolist(), etas.tolist()):
             for k, eta in zip(grid.ks.tolist(), path):
-                _, low, high = uncertainty(eta, k, spec.a, args.level)
-                print(f"{spec.q:g},{k},{k / n:g},{_fmt(eta)},{_fmt(low)},{_fmt(high)},"
-                      f"{spec.margin.value},{str(estimator == 'reduced').lower()}", file=stream)
+                _, low, high = uncertainty(eta, k, a, args.level)
+                print(f"{q:g},{k},{k / n:g},{_fmt(eta)},{_fmt(low)},{_fmt(high)},"
+                      f"{margin},{str(estimator == 'reduced').lower()}", file=stream)
     failed = int(np.isnan(etas).sum())
     if failed:
         print(f"warning: {failed} of {etas.size} cells hit a domain error; "
@@ -173,7 +174,7 @@ def cmd_oracle(args) -> int:
 
     grid = [(0.0, 0.0), (0.5, -0.5), (-0.5, 0.5), (1.0, -1.0), (-2.0, 2.0), (0.25, 0.75)]
     worst = 0.0
-    for k in sorted({2, n // 4, n // 2, n - 1} - {0, 1}):
+    for k in sorted({k for k in (2, n // 4, n // 2, n - 1) if 1 <= k < n}):
         tail = pseudo.t_sorted[n - k - 1:]
         for a, b in grid:
             worst = max(worst, abs(m_ab(tail, k, a, b) - _naive_m_ab(tail, k, a, b)))

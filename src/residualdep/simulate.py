@@ -44,7 +44,6 @@ __all__ = [
     "StudyConfig",
     "CellResult",
     "SimulationReport",
-    "CellPath",
     "CellGrid",
     "cell_grid",
     "evaluate_cells",
@@ -88,19 +87,21 @@ class KstarRule:
 
     @classmethod
     def parse(cls, token) -> "KstarRule":
-        """Accept 'powP' (e.g. pow0.3), 'sqrtk', or a plain integer."""
+        """Accept 'powP' (e.g. pow0.3), 'sqrtk', or an integer (3.0 counts, 2.5 does not)."""
         if isinstance(token, KstarRule):
             return token
-        if isinstance(token, bool):
-            raise ValueError(f"kstar_rule {token!r} is not a k* rule")
-        if isinstance(token, int):
-            return cls.fixed(token)
-        token = str(token).strip().lower()
+        if not isinstance(token, str):
+            return cls.fixed(_integral("kstar_rule", real("kstar_rule", token, "a k* rule")))
+        token = token.strip().lower()
         if token == "sqrtk":
             return cls.sqrt_k()
         if token.startswith("pow"):
             return cls.pow_n(token[3:])
-        return cls.fixed(int(token))
+        try:
+            count = int(token)
+        except ValueError:
+            raise ValueError(f"kstar_rule {token!r} is not a k* rule") from None
+        return cls.fixed(count)
 
     def token(self) -> str:
         if self.kind == "sqrt_k":
@@ -298,43 +299,43 @@ def load_config(path, master_seed: int | None = None) -> StudyConfig:
     with open(path, "r", encoding="utf-8") as fh:
         config = config_from_dict(json.load(fh))
     if master_seed is not None:
-        config = replace(config, master_seed=int(master_seed))
+        config = replace(config, master_seed=master_seed)
     return config
 
 
 # --- the study grid ---------------------------------------------------------
 
-class CellPath(NamedTuple):
-    """One (estimator, spec) path of the study grid: a cell per k of the grid."""
-
-    estimator: str
-    spec: EstimatorSpec
-
-
 class CellGrid(NamedTuple):
-    """The study grid as a product: every path runs over ``ks``, and ``kstars`` holds
-    the reduced-bias k* of each k (None when no path is reduced-bias)."""
+    """The study grid as a product: a table of paths, a column per field, each path over
+    every k of ``ks``; ``kstars`` holds the reduced-bias k* of each k (None when no path
+    is reduced-bias).  Path p runs the conjugate pair (a[p], b[p]) of q[p] on margin[p]."""
 
-    paths: tuple  # of CellPath
+    estimator: np.ndarray  # 'raw' or 'reduced'
+    margin: np.ndarray  # the Margin value
+    q: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     ks: np.ndarray
     kstars: np.ndarray | None
 
 
 def cell_grid(margins, q_grid, k_grid, kstar_rule: KstarRule, n: int,
               reduced: bool) -> CellGrid:
-    """One path per (estimator, spec) over ``k_grid``; sorted grids give report row order.
+    """The path table over ``k_grid``; sorted grids give report row order.
 
     Raw paths on each margin come first, then, if ``reduced``, the reduced-bias
     paths, which are on the shifted-Frechet margin whatever ``margins`` holds.
     """
     ks = np.asarray(k_grid, dtype=np.intp)
-    paths = [CellPath("raw", EstimatorSpec.conjugate(q, margin=m)) for m in margins for q in q_grid]
+    paths = [("raw", EstimatorSpec.conjugate(q, margin=m)) for m in margins for q in q_grid]
     kstars = None
     if reduced and q_grid:
         kstars = np.array([kstar_rule.resolve(n, k) for k in ks.tolist()], dtype=np.intp)
-        paths += [CellPath("reduced", EstimatorSpec.conjugate(q, margin=Margin.FRECHET_SHIFTED))
+        paths += [("reduced", EstimatorSpec.conjugate(q, margin=Margin.FRECHET_SHIFTED))
                   for q in q_grid]
-    return CellGrid(tuple(paths), ks, kstars)
+    rows = [(estimator, spec.margin.value, spec.q, spec.a, spec.b) for estimator, spec in paths]
+    columns = zip(*rows) if rows else [()] * 5
+    return CellGrid(*map(np.array, columns, (str, str, float, float, float)), ks, kstars)
 
 
 def evaluate_cells(pseudo: PseudoSample, grid: CellGrid,
@@ -342,16 +343,14 @@ def evaluate_cells(pseudo: PseudoSample, grid: CellGrid,
     """Estimates of one sample on every cell, a (paths, k) array, one kernel call per margin
     (reduced-bias paths are on V*): NaN where an estimate is undefined, and on every
     reduced-bias path when ``so`` is None."""
-    margins = np.array([spec.margin.value for _, spec in grid.paths])
-    a, b = np.array([(spec.a, spec.b) for _, spec in grid.paths]).reshape(-1, 2).T
-    reduced = np.array([estimator == "reduced" for estimator, _ in grid.paths], dtype=bool)
-    etas = np.empty((len(grid.paths), len(grid.ks)))
-    for margin in dict.fromkeys(margins.tolist()):
-        rows = margins == margin
-        etas[rows] = m_ab_path(sorted_margin(pseudo, margin), grid.ks, a[rows], b[rows])
+    etas = np.empty((len(grid.a), len(grid.ks)))
+    for margin in dict.fromkeys(grid.margin.tolist()):
+        rows = grid.margin == margin
+        etas[rows] = m_ab_path(sorted_margin(pseudo, margin), grid.ks, grid.a[rows], grid.b[rows])
     if grid.kstars is not None:
+        reduced = grid.estimator == "reduced"
         etas[reduced] = math.nan if so is None else \
-            reduced_bias_path(pseudo, grid.ks, grid.kstars, a[reduced], so, etas[reduced])
+            reduced_bias_path(pseudo, grid.ks, grid.kstars, grid.a[reduced], so, etas[reduced])
     return etas
 
 
@@ -440,7 +439,7 @@ class SimulationReport:
 
     ``stats[:, p, j]`` (mean, bias, variance, mse) and ``n_ok[p, j]`` belong
     to path p of ``grid`` at its j-th k.  Path after path, k after k, is the
-    report's row order, sorted by (estimator, margin, q, k).
+    report's row order, sorted by (estimator, margin, q, k); ``_paths`` walks it.
     """
 
     config: StudyConfig
@@ -448,15 +447,24 @@ class SimulationReport:
     stats: np.ndarray  # (4, paths, k)
     n_ok: np.ndarray  # (paths, k)
 
+    def _paths(self, k_fields):
+        """Per path in row order: its head fields (estimator..b), its k fields, made by
+        ``k_fields(ks, k_over_n, kstars)`` once for all raw and once for all reduced-bias
+        paths, and its statistic columns (mean..mse, n_ok, n_fail), as Python values."""
+        grid = self.grid
+        ks, k_over_n = grid.ks.tolist(), (grid.ks / self.config.n).tolist()
+        shared = {"raw": k_fields(ks, k_over_n, [None] * len(ks))}
+        if grid.kstars is not None:
+            shared["reduced"] = k_fields(ks, k_over_n, grid.kstars.tolist())
+        heads = zip(*(column.tolist() for column in grid[:5]))  # estimator, margin, q, a, b
+        stats = zip(*self.stats.tolist(), self.n_ok.tolist(), (self.config.N - self.n_ok).tolist())
+        for head, columns in zip(heads, stats):
+            yield head, shared[head[0]], columns
+
     def rows(self):
         """Each cell's CSV fields as Python values, in row order."""
-        paths, ks, kstars = self.grid
-        k_columns = ks.tolist(), (ks / self.config.n).tolist()
-        for (estimator, spec), stats, n_ok in zip(paths, self.stats.swapaxes(0, 1), self.n_ok):
-            yield from zip(repeat(estimator), repeat(spec.margin.value), repeat(spec.q),
-                           repeat(spec.a), repeat(spec.b), *k_columns,
-                           kstars.tolist() if estimator == "reduced" else repeat(None),
-                           *stats.tolist(), n_ok.tolist(), (self.config.N - n_ok).tolist())
+        for head, k_columns, stats in self._paths(lambda *k_columns: k_columns):
+            yield from zip(*map(repeat, head), *k_columns, *stats)
 
     @cached_property
     def cells(self) -> tuple:
@@ -543,20 +551,13 @@ def _lines(report: SimulationReport, format: str):
         fields, line, numbers = _json_fields, _JSONL_LINE, _json_numbers
     else:
         raise ValueError(f"unknown report format {format!r}")
-    paths, ks, kstars = report.grid
-    ks_list, k_over_n = ks.tolist(), (ks / report.config.n).tolist()
-    kstar_columns = {"raw": [None] * len(ks_list)}
-    if kstars is not None:
-        kstar_columns["reduced"] = kstars.tolist()
-    k_fields = {estimator: [fields(CSV_COLUMNS[5:8], row) for row in zip(ks_list, k_over_n, column)]
-                for estimator, column in kstar_columns.items()}
-    stats = report.stats.tolist()  # mean, bias, variance and mse, each [path][k]
-    n_ok = report.n_ok.tolist()
-    n_fail = (report.config.N - report.n_ok).tolist()
-    for p, (estimator, spec) in enumerate(paths):
-        head = fields(CSV_COLUMNS[:5], (estimator, spec.margin.value, spec.q, spec.a, spec.b))
-        yield "".join(map(line, repeat(head), k_fields[estimator],
-                          *(numbers(column[p]) for column in stats), n_ok[p], n_fail[p]))
+
+    def k_fields(*k_columns):
+        return [fields(CSV_COLUMNS[5:8], row) for row in zip(*k_columns)]
+
+    for head, k_rows, (*stats, n_ok, n_fail) in report._paths(k_fields):
+        yield "".join(map(line, repeat(fields(CSV_COLUMNS[:5], head)), k_rows,
+                          *map(numbers, stats), n_ok, n_fail))
 
 
 def emit_report(report: SimulationReport, format: str = "csv") -> str:

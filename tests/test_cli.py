@@ -145,7 +145,9 @@ class TestSimulateCommand:
         ({"k_grid": ["25"]}, "k_grid entry '25' is not an integer"),
         ({"second_order": {"mode": "user", "tau": "0.3", "beta": 0}},
          "second-order tau '0.3' is not a number"),
-    ], ids=["no_model", "unknown_second_order_key", "n_string", "k_string", "tau_string"])
+        ({"kstar_rule": "abc"}, "kstar_rule 'abc' is not a k* rule"),
+    ], ids=["no_model", "unknown_second_order_key", "n_string", "k_string", "tau_string",
+            "kstar_rule_string"])
     def test_config_key_and_type_errors_exit_4(self, tmp_path, capsys, update, message):
         config = {"model": {"family": "amh", "theta": 0.3}, "n": 100, "N": 3,
                   "q_grid": [1.0], "k_grid": [10], "master_seed": 3, **update}
@@ -479,7 +481,8 @@ class TestDateFilters:
 
 class TestOracleCommand:
     def test_identities_hold(self, capsys):
-        for n, seed in ((20, 1), (77, 12345), (100, 9)):
+        # n = 2 and 3 are the smallest samples: the kernel check's k set stays in 1..n-1
+        for n, seed in ((2, 1), (3, 1), (20, 1), (77, 12345), (100, 9)):
             code, out, _ = run_cli(capsys, "oracle", "--n", str(n), "--seed", str(seed))
             assert code == 0
             assert "ok joint-exceedance identity" in out

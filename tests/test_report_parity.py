@@ -123,7 +123,18 @@ CONFIGS = {
         "master_seed": 44},
     "empty_k_grid": {"model": {"family": "frank", "theta": 0.5}, "n": 120, "N": 2,
                      "k_grid": [], "second_order": "oracle", "master_seed": 45},
+    "empty_q_grid": {"model": {"family": "frank", "theta": 0.5}, "n": 120, "N": 2,
+                     "q_grid": [], "k_grid": [5, 20], "second_order": "oracle",
+                     "master_seed": 47},
+    "unsorted_repeated_grids": {
+        "model": {"family": "amh", "theta": -1.0}, "n": 150, "N": 4,
+        "q_grid": [1.5, 0.5, 1.0, 0.5], "k_grid": [30, 5, 0.1],
+        "margins": ["pareto_t", "frechet_shifted", "pareto_t"], "kstar_rule": "sqrtk",
+        "second_order": "oracle", "master_seed": 48},
 }
+
+# the configs whose grids hold no cell: an empty JSONL file, a CSV of its header alone
+EMPTY = {"empty_k_grid", "empty_q_grid"}
 
 # the configs with cells where more than 10% of replicates fail
 FLAGGED = {"amh_oracle_all_reduced_fail", "gaussian_overflow_fixed_kstar"}
@@ -139,6 +150,9 @@ PINNED = {
     "empty_k_grid": (
         "32404f69fcc666ab87ea2f742ff5df74b9b6298dcc847fb79a898fa82d542b09",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "empty_q_grid": (
+        "32404f69fcc666ab87ea2f742ff5df74b9b6298dcc847fb79a898fa82d542b09",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "frank_default_grid": (
         "824e2a963f008f5bc7918f509807e0fde7109f273984203c7ab3bd62cefd866a",
         "0268ec16151c8fd8d755edd0df603e307e6a7e71bfeb578e34677ff67315047f"),
@@ -148,6 +162,9 @@ PINNED = {
     "pareto_t_only": (
         "f1d78718b8a95bdefba871d46c8bc35e670ac702ae69522e5621d69f1fe2ff17",
         "17c6a3c35206b72a5ac318904f4e2d78cfa68baaa7008dd7a3ccfc3ccadca000"),
+    "unsorted_repeated_grids": (
+        "78bb475deb46cb08794602891a054e64d38c82f2f3034a158fa1fb212776959a",
+        "af4f9619b00e057125f96297d827d4861fe316b8bf7187fa42ca21ad15e5e5a5"),
 }
 
 
@@ -214,7 +231,7 @@ def test_jsonl_is_strict_json(study):
     text = emit_report(report, "jsonl")
     rows = [json.loads(line, parse_constant=_refuse) for line in text.splitlines()]
     assert len(rows) == len(reference)
-    assert (text == "") == (name == "empty_k_grid")  # an empty grid is an empty file
+    assert (text == "") == (name in EMPTY)  # an empty grid is an empty file
     if name == "amh_oracle_all_reduced_fail":  # no ground truth, every reduced cell fails
         at = {(r["estimator"], r["q"], r["k"]): r for r in rows}
         assert at["raw", 1.0, 5]["bias"] is None and at["raw", 1.0, 5]["mean"] is not None

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from residualdep import BivariateSample, CopulaModel, EstimatorSpec, KstarRule, Margin, \
-    ParameterDomainError, PseudoSample, SecondOrderSpec, StudyConfig, config_from_dict, \
-    emit_report, eta_hat, load_config, replicate_generator, run_study, sample_copula, \
-    write_report
+    ParameterDomainError, PseudoSample, SecondOrderParams, SecondOrderSpec, StudyConfig, \
+    config_from_dict, emit_report, eta_hat, load_config, replicate_generator, run_study, \
+    sample_copula, write_report
 from residualdep.simulate import CSV_COLUMNS, DEFAULT_Q_GRID
 
 
@@ -103,6 +103,34 @@ class TestStudyConfig:
         assert cfg.second_order.tau == 0.5
         cfg2 = load_config(path, master_seed=77)
         assert cfg2.master_seed == 77
+
+    @pytest.mark.parametrize("seed,message", [(True, "master_seed True is not an integer"),
+                                              (2.5, "master_seed 2.5 is not an integer"),
+                                              ("7", "master_seed '7' is not an integer")])
+    def test_seed_override_checked_like_the_file(self, tmp_path, seed, message):
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"model": {"family": "frank", "theta": 1.0}, "n": 100,
+                                    "k_grid": [10]}))
+        with pytest.raises(ValueError, match=message):
+            load_config(path, master_seed=seed)
+        assert load_config(path, master_seed=7.0).master_seed == 7
+
+    @pytest.mark.parametrize("token,message", [
+        ("abc", r"kstar_rule 'abc' is not a k\* rule"),
+        (2.5, "kstar_rule 2.5 is not an integer"),
+        (None, r"kstar_rule None is not a k\* rule"),
+    ], ids=["string", "fraction", "null"])
+    def test_kstar_rule_errors_name_the_key(self, token, message):
+        doc = {"model": {"family": "frank", "theta": 1.0}, "n": 100, "k_grid": [10],
+               "kstar_rule": token}
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(doc)
+
+    def test_integral_float_kstar_rule_is_fixed(self):
+        rule = config_from_dict({"model": {"family": "frank", "theta": 1.0}, "n": 100,
+                                 "k_grid": [10], "kstar_rule": 3.0}).kstar_rule
+        assert rule == KstarRule.fixed(3) == KstarRule.parse("3")
+        assert rule.token() == "3"
 
     @pytest.mark.parametrize("key,value", [("n", 100.9), ("N", 2.5), ("master_seed", 7.5),
                                            ("n", math.inf)])
@@ -367,41 +395,64 @@ class TestRunStudy:
     @pytest.mark.parametrize("reduced,k_grid", [(True, (1, 6, 12, 34)), (False, (1, 6, 12, 34)),
                                                 (True, ())])
     def test_grid_rows_are_direct_path_calls(self, reduced, k_grid):
-        # row p of the (paths, k) estimates is the scalar kernel call on path p, bit for bit,
-        # on a q grid with the Hill row (q = 1), rows whose prefix sums leave the float range
-        # and are taken in log space (q = 1e-3) and rows that overflow everywhere (q = 1e-6)
-        from residualdep import SecondOrderParams, effective_tau
+        # row p of the (paths, k) estimates is the kernel called on path p's columns alone,
+        # bit for bit, on a q grid with the Hill row (q = 1), rows whose prefix sums leave
+        # the float range and are taken in log space (q = 1e-3) and rows that overflow
+        # everywhere (q = 1e-6)
+        from residualdep import effective_tau
         from residualdep.bias import reduced_bias_path
         from residualdep.estimators import m_ab_path, sorted_margin
         from residualdep.simulate import ALL_MARGINS, cell_grid, evaluate_cells
         grid = cell_grid(ALL_MARGINS, (1e-6, 1e-3, 0.5, 1.0, 1.5), k_grid, KstarRule.pow_n(),
                          120, reduced)
-        assert all(len(path) == 2 for path in grid.paths)
-        assert len(grid.paths) == (20 if reduced else 15)
+        assert [len(column) for column in grid[:5]] == [20 if reduced else 15] * 5
         assert (grid.kstars is None) == (not reduced)
         u, v = sample_copula(CopulaModel("amh", -1.0), 120, replicate_generator(7, 0))
         pseudo = PseudoSample.from_sample(BivariateSample(u, v))
         so = SecondOrderParams(effective_tau(1 / 3, 2 / 3), 0.0, k0=0)
         etas = evaluate_cells(pseudo, grid, so)
-        assert etas.shape == (len(grid.paths), len(k_grid))
+        assert etas.shape == (len(grid.a), len(k_grid))
         log_space = overflowed = 0
-        for row, (estimator, spec) in zip(etas, grid.paths):
-            tail = sorted_margin(pseudo, spec.margin)
-            want = m_ab_path(tail, grid.ks, spec.a, spec.b)
+        for row, (estimator, margin, _, a, b) in zip(etas, zip(*grid[:5])):
+            tail = sorted_margin(pseudo, margin)
+            want = m_ab_path(tail, grid.ks, a, b)
             if estimator == "reduced":
-                want = reduced_bias_path(pseudo, grid.ks, grid.kstars, spec.a, so, want)
+                want = reduced_bias_path(pseudo, grid.ks, grid.kstars, a, so, want)
             assert row.tobytes() == want.tobytes()
             logs = np.log(tail[::-1])
             with np.errstate(over="ignore"):
-                sums = np.cumsum(np.expm1(spec.a * (logs[:-1] - logs[0])))[grid.ks - 1]
+                sums = np.cumsum(np.expm1(a * (logs[:-1] - logs[0])))[grid.ks - 1]
             log_space += np.count_nonzero(np.isinf(sums) & np.isfinite(row))
             overflowed += len(k_grid) > 0 and np.isnan(row).all()
         assert (log_space > 0) == (overflowed > 0) == (len(k_grid) > 0)
         # without second-order parameters every reduced-bias row is NaN, the raw rows stay
         unresolved = evaluate_cells(pseudo, grid, None)
-        raw = np.array([path.estimator == "raw" for path in grid.paths])
+        raw = grid.estimator == "raw"
         assert unresolved[raw].tobytes() == etas[raw].tobytes()
         assert np.isnan(unresolved[~raw]).all()
+
+    @pytest.mark.parametrize("study,q_grid", [("default", DEFAULT_Q_GRID),
+                                              ("estimate", (0.5, 1.0, 1.5)),
+                                              ("empty_q_grid", ())])
+    def test_path_columns_are_conjugate_specs(self, study, q_grid):
+        # path p's columns are EstimatorSpec.conjugate of its (q, margin), in row order:
+        # raw paths per margin, then reduced-bias paths, which run on frechet_shifted
+        # even where the grid's margins (here an estimate's one margin) lack it
+        from residualdep.simulate import cell_grid, evaluate_cells
+        cfg = StudyConfig(model=CopulaModel("amh", -1.0), q_grid=q_grid)
+        margins = (Margin.PARETO_T,) if study == "estimate" else cfg.margins
+        grid = cell_grid(margins, cfg.q_grid, cfg.k_grid, cfg.kstar_rule, cfg.n, True)
+        paths = [("raw", m, q) for m in margins for q in q_grid] + \
+            [("reduced", Margin.FRECHET_SHIFTED, q) for q in q_grid]
+        specs = [(estimator, EstimatorSpec.conjugate(q, margin)) for estimator, margin, q in paths]
+        want = [(e, spec.margin.value, spec.q, spec.a, spec.b) for e, spec in specs]
+        assert repr(list(zip(*(column.tolist() for column in grid[:5])))) == repr(want)
+        assert len(want) == {"default": 4 * 19, "estimate": 2 * 3, "empty_q_grid": 0}[study]
+        assert (grid.kstars is None) == (not q_grid)
+        u, v = sample_copula(cfg.model, cfg.n, replicate_generator(7, 0))
+        pseudo = PseudoSample.from_sample(BivariateSample(u, v))
+        so = SecondOrderParams(0.5, 0.0, k0=0)
+        assert evaluate_cells(pseudo, grid, so).shape == (len(want), len(cfg.k_grid))
 
     def test_failures_counted_not_fatal(self):
         # oracle mode without ground truth: every reduced cell fails, raw fine
