@@ -35,7 +35,6 @@ __all__ = [
     "effective_tau",
     "default_k0",
     "estimate_second_order",
-    "corrected_eta",
     "reduced_bias_path",
     "reduced_bias_eta",
 ]
@@ -161,21 +160,6 @@ def _corrected(eta_s, a, tau: float, beta_term, v_kstar):
     denom = np.where(denom > 0.0, denom, np.nan)
     correction = (beta_term + 1.0 / (1.0 + 2.0 * v_kstar)) * (1.0 - a * eta_s) / denom
     return eta_s * (1.0 - correction)
-
-
-def corrected_eta(eta_s: float, a: float, tau: float, beta_term: float,
-                  v_kstar: float) -> float:
-    """Plug-in arithmetic of the reduced-bias correction.
-
-    ``beta_term`` is beta * (n/k)^(-tau); ``v_kstar`` is the V order
-    statistic V_(n, n-k*).  Raises when the denominator 1 - a*eta + tau
-    is not positive.
-    """
-    eta_rb = float(_corrected(eta_s, a, tau, beta_term, v_kstar))
-    if math.isnan(eta_rb):
-        raise NumericDomainError(
-            f"1 - a*eta + tau = {1.0 - a * eta_s + tau:.6g} <= 0 in bias correction")
-    return eta_rb
 
 
 def reduced_bias_path(pseudo: PseudoSample, ks, kstars, a, so: SecondOrderParams,

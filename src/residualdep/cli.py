@@ -45,6 +45,10 @@ def positive_int(token: str) -> int:
     return value
 
 
+def float_list(token: str) -> list[float]:
+    return [float(tok) for tok in token.split(",")]
+
+
 def _add_ingestion_flags(parser):
     parser.add_argument("--data", required=True, help="input CSV of paired observations")
     parser.add_argument("--x", required=True, help="column name of the first margin")
@@ -106,7 +110,7 @@ def cmd_estimate(args) -> int:
         raise NumericDomainError(f"--level must lie in (0, 1), got {args.level}")
     sample, pseudo = _ingest_from_args(args)
     n = sample.n
-    q_grid = sorted({float(tok) for tok in args.q.split(",")} | {1.0})  # Hill is always reported
+    q_grid = sorted({*args.q, 1.0})  # Hill is always reported
     k_max = max(1, int(n * args.k_max))  # k_max < n, since main checks --k-max < 1
     grid = cell_grid([Margin(args.margin)], q_grid, range(1, k_max + 1),
                      args.kstar or KstarRule.pow_n(), n, args.reduce_bias)
@@ -206,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="eta sample paths with CIs from a data CSV")
     _add_ingestion_flags(p)
-    p.add_argument("--q", default="0.5,1,1.5", help="comma-separated q values")
+    p.add_argument("--q", type=float_list, default="0.5,1,1.5", help="comma-separated q values")
     p.add_argument("--k-max", type=float, default=0.3, dest="k_max",
                    help="largest top fraction k/n (default 0.3)")
     p.add_argument("--margin", default=Margin.FRECHET_SHIFTED.value,

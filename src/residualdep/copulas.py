@@ -105,14 +105,6 @@ def _special():
     return scipy.special
 
 
-def _as_generator(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return replicate_generator(seed)
-
-
 def sample_copula(model: CopulaModel, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n`` pairs from the copula, uniform marginals on (0, 1).
 
@@ -122,8 +114,8 @@ def sample_copula(model: CopulaModel, n: int, seed) -> tuple[np.ndarray, np.ndar
         Family and parameter to sample from.
     n : int
         Number of pairs, at least 2.
-    seed : int, numpy.random.SeedSequence or numpy.random.Generator
-        Source of randomness; identical seeds give bit-identical output.
+    seed : int or numpy.random.Generator
+        Source of randomness; an int seeds ``replicate_generator``.
 
     Returns
     -------
@@ -131,7 +123,7 @@ def sample_copula(model: CopulaModel, n: int, seed) -> tuple[np.ndarray, np.ndar
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    rng = _as_generator(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else replicate_generator(seed)
     theta = model.theta
     fam = model.family
     if fam is Family.GAUSSIAN:

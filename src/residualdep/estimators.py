@@ -56,15 +56,13 @@ class Margin(str, Enum):
 class EstimatorSpec:
     """Resolved (a, b) pair plus the margin the estimator runs on.
 
-    Build through one of the constructors; ``tag`` records which
-    parametrisation produced the pair and ``q`` its distortion value
-    (``None`` for raw pairs).
+    Build through one of the constructors; ``q`` records the distortion
+    value of a q parametrisation (``None`` for raw pairs).
     """
 
     a: float
     b: float
     margin: Margin = Margin.PARETO_T
-    tag: str = "raw"
     q: float | None = None
 
     @classmethod
@@ -87,15 +85,10 @@ class EstimatorSpec:
         q = float(q)
         if not 0.0 < q < math.inf:
             raise NumericDomainError(f"{name} parametrisation needs 0 < q < inf, got {q}")
-        tag = name.replace("-", "_")
         if q == 1.0:
-            return cls(a=0.0, b=0.0, margin=Margin(margin), tag=tag, q=q)
+            return cls(a=0.0, b=0.0, margin=Margin(margin), q=q)
         a = a_of_q(q)
-        return cls(a=a, b=-a, margin=Margin(margin), tag=tag, q=q)
-
-    @property
-    def is_hill(self) -> bool:
-        return self.a == 0.0 and self.b == 0.0
+        return cls(a=a, b=-a, margin=Margin(margin), q=q)
 
 
 def m_ab_path(tail: np.ndarray, ks, a, b) -> np.ndarray:

@@ -14,7 +14,7 @@ consume.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -26,8 +26,6 @@ __all__ = [
     "BivariateSample",
     "PseudoSample",
     "compute_ranks",
-    "pareto_pseudo",
-    "frechet_pseudo",
     "shift_half",
     "joint_exceedance_count",
 ]
@@ -118,16 +116,6 @@ def _frechet(rmin, n: int) -> np.ndarray:
     return -1.0 / np.log(rmin / (n + 1.0))
 
 
-def pareto_pseudo(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
-    """Standard-Pareto pseudo-observations T_i from the rank pair."""
-    return _pareto(np.minimum(rx, ry), len(rx))
-
-
-def frechet_pseudo(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
-    """Unit-Frechet pseudo-observations V_i from the rank pair."""
-    return _frechet(np.minimum(rx, ry), len(rx))
-
-
 def shift_half(v: np.ndarray) -> np.ndarray:
     """The shifted sequence V* = V + 1/2."""
     return v + 0.5
@@ -135,11 +123,9 @@ def shift_half(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PseudoSample:
-    """Ranks plus the sorted T, V and V* sequences of one sample."""
+    """The sorted T, V and V* sequences of one sample."""
 
     n: int
-    rx: np.ndarray
-    ry: np.ndarray
     t_sorted: np.ndarray
     v_sorted: np.ndarray
     vstar_sorted: np.ndarray
@@ -154,22 +140,18 @@ class PseudoSample:
     @classmethod
     def from_ranks(cls, rx: np.ndarray, ry: np.ndarray) -> "PseudoSample":
         """From marginal ranks; min(rx, ry) must lie in 1..n."""
-        rx = np.asarray(rx, dtype=np.int64)
-        ry = np.asarray(ry, dtype=np.int64)
         n = len(rx)
         # T and V both increase with r = min(rx, ry) in floating point too: n + 1 - r is
         # exact and a correctly rounded division keeps the order, and np.log's error of
         # a few ulps is far below the gap 1/(n+1) between neighbouring ratios r/(n+1).
         # Sorting the integer r once therefore sorts both.
-        rmin = np.sort(np.minimum(rx, ry))
+        rmin = np.sort(np.asarray(np.minimum(rx, ry), dtype=np.int64))
         if rmin.size and not 1 <= rmin[0] <= rmin[-1] <= n:
             raise DataError(f"ranks must lie in 1..n = {n}, "
                             f"got min(rx, ry) from {rmin[0]} to {rmin[-1]}")
         v_sorted = _frechet(rmin, n)
         return cls(
             n=n,
-            rx=rx,
-            ry=ry,
             t_sorted=_pareto(rmin, n),
             v_sorted=v_sorted,
             vstar_sorted=shift_half(v_sorted),

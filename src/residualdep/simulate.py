@@ -71,9 +71,13 @@ class KstarRule:
 
     @classmethod
     def pow_n(cls, power: float | str = 0.3) -> "KstarRule":
-        if not 0.0 < float(power) < math.inf:
+        try:
+            value = float(power)
+        except ValueError:
+            raise ValueError(f"kstar_rule 'pow{power}' is not a k* rule") from None
+        if not 0.0 < value < math.inf:
             raise ValueError(f"k* rule 'pow{power}' needs a finite power > 0")
-        return cls(kind="pow_n", value=float(power))
+        return cls(kind="pow_n", value=value)
 
     @classmethod
     def sqrt_k(cls) -> "KstarRule":
@@ -197,12 +201,10 @@ class StudyConfig:
     second_order: SecondOrderSpec = field(default_factory=SecondOrderSpec)
 
     def __post_init__(self):
-        for name in ("n", "N", "master_seed"):
-            object.__setattr__(self, name, _integral(name, getattr(self, name)))
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        if self.N < 1:
-            raise ValueError(f"need N >= 1, got {self.N}")
+        for name, least in (("n", 2), ("N", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, value := _integral(name, getattr(self, name)))
+            if value < least:
+                raise ValueError(f"need {name} >= {least}, got {value}")
         if any(isinstance(q, bool) for q in _listed("q_grid", self.q_grid)):
             raise ValueError(f"q_grid values must not be booleans, got {list(self.q_grid)}")
         q_grid = {float(real("q_grid value", q)) for q in self.q_grid}

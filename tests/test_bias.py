@@ -5,9 +5,9 @@ import pytest
 
 from residualdep import BivariateSample, ConstraintError, CopulaModel, DataError, \
     EstimationError, EstimatorSpec, Margin, NumericDomainError, ParameterDomainError, \
-    PseudoSample, SecondOrderParams, SecondOrderSource, corrected_eta, default_k0, \
-    effective_tau, estimate_second_order, eta_hat, reduced_bias_eta, replicate_generator, \
-    sample_copula
+    PseudoSample, SecondOrderParams, SecondOrderSource, default_k0, effective_tau, \
+    estimate_second_order, eta_hat, reduced_bias_eta, replicate_generator, sample_copula
+from residualdep.bias import _corrected
 
 
 def _pseudo(seed, n, model=None):
@@ -81,8 +81,7 @@ class TestEstimateSecondOrder:
 
     def test_degenerate_tail_raises(self):
         pseudo = PseudoSample(
-            n=100, rx=np.arange(1, 101), ry=np.arange(1, 101),
-            t_sorted=np.full(100, 2.0), v_sorted=np.full(100, 1.0),
+            n=100, t_sorted=np.full(100, 2.0), v_sorted=np.full(100, 1.0),
             vstar_sorted=np.full(100, 1.5),
         )
         with pytest.raises(EstimationError, match="degenerate"):
@@ -101,20 +100,22 @@ class TestEstimateSecondOrder:
 
 
 class TestCorrectedEta:
+    # the plug-in arithmetic of the correction, _corrected(eta_s, a, tau, beta_term, v_kstar),
+    # which reduced_bias_path applies to whole paths
     def test_plug_in_arithmetic(self):
         # eta 0.5, a=0, beta-term 0.1, V = 4.5, tau = 0.5:
         # factor = 1 - 0.2/1.5, eta_rb = 0.5 * 13/15
-        got = corrected_eta(0.5, 0.0, 0.5, 0.1, 4.5)
+        got = float(_corrected(0.5, 0.0, 0.5, 0.1, 4.5))
         assert got == pytest.approx(0.5 * 13 / 15, abs=1e-15)
         assert got == pytest.approx(0.43333333, abs=1e-6)
 
     def test_denominator_domain(self):
-        with pytest.raises(NumericDomainError):
-            corrected_eta(0.5, 4.0, 0.5, 0.1, 4.5)
+        # 1 - a*eta + tau = -0.5 <= 0: undefined, NaN
+        assert math.isnan(_corrected(0.5, 4.0, 0.5, 0.1, 4.5))
 
     def test_correction_vanishes(self):
         # beta = 0 and a huge V order statistic: factor -> 1
-        assert corrected_eta(0.5, 0.0, 0.5, 0.0, 1e14) == pytest.approx(0.5, abs=1e-12)
+        assert float(_corrected(0.5, 0.0, 0.5, 0.0, 1e14)) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestReducedBias:

@@ -96,6 +96,8 @@ class TestSimulateCommand:
         ({"k_grid": [True, 20]}, "k_grid entry True is not an integer"),
         ({"margins": ["pareto_t"], "second_order": {"mode": "per_replicate", "k0": 60}},
          "second-order k0: no effect without reduced-bias paths"),
+        ({"kstar_rule": "powabc"}, "kstar_rule 'powabc' is not a k* rule"),
+        ({"master_seed": -5}, "need master_seed >= 0, got -5"),
     ])
     def test_silent_config_values_exit_4(self, tmp_path, capsys, update, message):
         config = {"model": {"family": "frank", "theta": 0.5}, "n": 100, "N": 3,
@@ -123,6 +125,16 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
                                "--out", str(out))
         assert code == 4 and message in err
+        assert not out.exists()
+
+    def test_negative_seed_override_exit_4(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {"family": "frank", "theta": 0.5}, "n": 100,
+                                        "N": 2, "q_grid": [1.0], "k_grid": [10]}))
+        out = tmp_path / "cells.csv"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                               "--out", str(out), "--seed", "-3")
+        assert code == 4 and "need master_seed >= 0, got -3" in err
         assert not out.exists()
 
     def test_boolean_numbers_exit_4(self, tmp_path, capsys):
@@ -371,6 +383,14 @@ class TestEstimateCommand:
         )
         assert code == 4 and out == ""
         assert "needs 0 < q < inf" in err
+
+    @pytest.mark.parametrize("q", ["abc", "0.5,,1", "0.5,x"])
+    def test_q_not_numbers_exit_2(self, uniform_csv, capsys, q):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+                  "--dry", "0", "--quantile", "0", "--q", q])
+        assert exc.value.code == 2
+        assert f"argument --q: invalid float_list value: '{q}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tau,beta,name", [("0.5", "nan", "beta"), ("0.5", "inf", "beta"),
                                                ("inf", "0", "tau")])

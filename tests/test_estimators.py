@@ -180,7 +180,7 @@ class TestPathKernel:
 class TestParametrizations:
     def test_q1_resolves_symbolically_to_hill(self):
         for spec in (EstimatorSpec.conjugate(1.0), EstimatorSpec.mean_of_order_p(1.0)):
-            assert spec.a == 0.0 and spec.b == 0.0 and spec.is_hill
+            assert spec.a == 0.0 and spec.b == 0.0
 
     def test_q1_bit_equal_to_hill(self):
         rng = np.random.default_rng(2)

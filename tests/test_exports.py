@@ -1,6 +1,9 @@
-"""The public names: every ``__all__`` entry resolves and is listed once, and every
-package export is listed by the module that defines it."""
+"""The public names: every ``__all__`` entry resolves and is listed once, every
+package export is listed by the module that defines it, and every public function or
+class a module with ``__all__`` defines is listed there."""
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 from collections import Counter
 
@@ -30,3 +33,22 @@ def test_package_exports_are_listed_where_defined():
         if hasattr(home, "__all__") and name not in home.__all__:
             unlisted.append(f"{home.__name__}.{name}")
     assert unlisted == []
+
+
+@pytest.mark.parametrize("module", WITH_ALL, ids=lambda m: m.__name__)
+def test_public_definitions_are_listed(module):
+    # a helper that no caller outside the module needs takes a leading underscore
+    unlisted = [name for name, obj in vars(module).items()
+                if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+                and obj.__module__ == module.__name__ and name not in module.__all__]
+    assert unlisted == []
+
+
+def test_removed_names_stay_removed():
+    from residualdep import copulas, estimators, pseudo
+    for name in ("corrected_eta", "pareto_pseudo", "frechet_pseudo"):
+        assert not hasattr(residualdep, name) and name not in residualdep.__all__, name
+    assert not hasattr(copulas, "_as_generator")
+    spec_fields = {f.name for f in dataclasses.fields(estimators.EstimatorSpec)}
+    assert "tag" not in spec_fields and not hasattr(estimators.EstimatorSpec, "is_hill")
+    assert {"rx", "ry"}.isdisjoint(f.name for f in dataclasses.fields(pseudo.PseudoSample))

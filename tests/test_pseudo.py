@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from residualdep import BivariateSample, DataError, PseudoSample, TieError, TiePolicy, \
-    compute_ranks, frechet_pseudo, joint_exceedance_count, pareto_pseudo, shift_half
+    compute_ranks, joint_exceedance_count, shift_half
 
 
 def _sample(x, y):
@@ -126,32 +126,35 @@ class TestTieCheckedRanking:
 
 class TestPseudoValues:
     def test_pareto_example_n3(self):
-        t = pareto_pseudo(np.array([1, 2, 3]), np.array([2, 1, 3]))
+        t = PseudoSample.from_ranks(np.array([1, 2, 3]), np.array([2, 1, 3])).t_sorted
         assert_allclose(t, [4 / 3, 4 / 3, 4.0], rtol=0, atol=0)
 
     def test_pareto_comonotone_is_plotting_position(self):
         r = np.array([2, 4, 1, 3])
-        assert_allclose(pareto_pseudo(r, r), 5.0 / (5.0 - r), atol=0)
+        t = PseudoSample.from_ranks(r, r).t_sorted
+        assert_allclose(t, 5.0 / (5.0 - np.sort(r)), atol=0)
 
     def test_top_rank_hits_maximum(self):
         n = 6
         rx = np.arange(1, n + 1)
-        t = pareto_pseudo(rx, rx)
+        t = PseudoSample.from_ranks(rx, rx).t_sorted
         assert t.max() == n + 1
 
     def test_frechet_example_n3(self):
-        v = frechet_pseudo(np.array([3, 1, 2]), np.array([3, 2, 1]))
-        assert v[0] == pytest.approx(3.476059496782207, abs=1e-12)
-        assert shift_half(v)[0] == pytest.approx(3.976059496782207, abs=1e-12)
+        # min(rx, ry) = (3, 1, 1): the largest V is the one of rank 3
+        v = PseudoSample.from_ranks(np.array([3, 1, 2]), np.array([3, 2, 1])).v_sorted
+        assert v[-1] == pytest.approx(3.476059496782207, abs=1e-12)
+        assert shift_half(v)[-1] == pytest.approx(3.976059496782207, abs=1e-12)
 
     def test_frechet_equal_ranks(self):
         r = np.array([2, 4, 1, 3])
-        assert_allclose(frechet_pseudo(r, r), -1.0 / np.log(r / 5.0), atol=1e-15)
+        v = PseudoSample.from_ranks(r, r).v_sorted
+        assert_allclose(v, -1.0 / np.log(np.sort(r) / 5.0), atol=1e-15)
 
     def test_bottom_rank_smallest_value(self):
         n = 1000
         rx = np.arange(1, n + 1)
-        v = frechet_pseudo(rx, rx)
+        v = PseudoSample.from_ranks(rx, rx).v_sorted
         assert v.min() == pytest.approx(1.0 / np.log(n + 1), rel=1e-12)
 
     def test_value_ranges(self):
@@ -169,18 +172,19 @@ class TestPseudoValues:
     def test_rank_invariance_under_monotone_transforms(self):
         rng = np.random.default_rng(8)
         x, y = rng.random(100), rng.random(100)
-        base = PseudoSample.from_sample(_sample(x, y))
-        warped = PseudoSample.from_sample(_sample(np.exp(3 * x), np.arctan(y) - 2))
-        assert_array_equal(base.rx, warped.rx)
+        sample, warped_sample = _sample(x, y), _sample(np.exp(3 * x), np.arctan(y) - 2)
+        base = PseudoSample.from_sample(sample)
+        warped = PseudoSample.from_sample(warped_sample)
+        assert_array_equal(compute_ranks(sample)[0], compute_ranks(warped_sample)[0])
         assert_allclose(base.t_sorted, warped.t_sorted, rtol=0, atol=0)
         assert_allclose(base.v_sorted, warped.v_sorted, rtol=0, atol=0)
 
     def test_order_statistic_identity_brute_force(self):
         rng = np.random.default_rng(21)
         for n in (5, 17, 50):
-            x, y = rng.random(n), rng.random(n)
-            p = PseudoSample.from_sample(_sample(x, y))
-            rmin = np.minimum(p.rx, p.ry)
+            s = _sample(rng.random(n), rng.random(n))
+            p = PseudoSample.from_sample(s)
+            rmin = np.minimum(*compute_ranks(s))
             brute = np.sort((n + 1.0) / (n + 1.0 - np.sort(rmin)))
             assert_allclose(p.t_sorted, brute, rtol=0, atol=0)
 
@@ -191,8 +195,9 @@ class TestPseudoValues:
             rx, ry = rng.permutation(n) + 1, rng.permutation(n) + 1
             for ranks in ((rx, ry), (rx, rx), (rx, n + 1 - rx)):
                 p = PseudoSample.from_ranks(*ranks)
-                t_ref = np.sort(pareto_pseudo(*ranks))
-                v_ref = np.sort(frechet_pseudo(*ranks))
+                rmin = np.minimum(*ranks)
+                t_ref = np.sort((n + 1.0) / (n + 1.0 - rmin))
+                v_ref = np.sort(-1.0 / np.log(rmin / (n + 1.0)))
                 assert p.t_sorted.tobytes() == t_ref.tobytes(), n
                 assert p.v_sorted.tobytes() == v_ref.tobytes(), n
                 assert p.vstar_sorted.tobytes() == shift_half(v_ref).tobytes(), n

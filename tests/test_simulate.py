@@ -106,7 +106,8 @@ class TestStudyConfig:
 
     @pytest.mark.parametrize("seed,message", [(True, "master_seed True is not an integer"),
                                               (2.5, "master_seed 2.5 is not an integer"),
-                                              ("7", "master_seed '7' is not an integer")])
+                                              ("7", "master_seed '7' is not an integer"),
+                                              (-3, "need master_seed >= 0, got -3")])
     def test_seed_override_checked_like_the_file(self, tmp_path, seed, message):
         path = tmp_path / "study.json"
         path.write_text(json.dumps({"model": {"family": "frank", "theta": 1.0}, "n": 100,
@@ -119,7 +120,8 @@ class TestStudyConfig:
         ("abc", r"kstar_rule 'abc' is not a k\* rule"),
         (2.5, "kstar_rule 2.5 is not an integer"),
         (None, r"kstar_rule None is not a k\* rule"),
-    ], ids=["string", "fraction", "null"])
+        ("powabc", r"kstar_rule 'powabc' is not a k\* rule"),
+    ], ids=["string", "fraction", "null", "power_string"])
     def test_kstar_rule_errors_name_the_key(self, token, message):
         doc = {"model": {"family": "frank", "theta": 1.0}, "n": 100, "k_grid": [10],
                "kstar_rule": token}

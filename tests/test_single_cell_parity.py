@@ -50,9 +50,9 @@ def ref_conjugate(q, margin=Margin.PARETO_T):
     if not 0.0 < q < math.inf:
         raise NumericDomainError(f"conjugate parametrisation needs 0 < q < inf, got {q}")
     if q == 1.0:
-        return EstimatorSpec(a=0.0, b=0.0, margin=Margin(margin), tag="conjugate", q=q)
+        return EstimatorSpec(a=0.0, b=0.0, margin=Margin(margin), q=q)
     a = 1.0 - 1.0 / q
-    return EstimatorSpec(a=a, b=-a, margin=Margin(margin), tag="conjugate", q=q)
+    return EstimatorSpec(a=a, b=-a, margin=Margin(margin), q=q)
 
 
 def ref_mean_of_order_p(q, margin=Margin.PARETO_T):
@@ -61,9 +61,9 @@ def ref_mean_of_order_p(q, margin=Margin.PARETO_T):
         raise NumericDomainError(
             f"mean-of-order-p parametrisation needs 0 < q < inf, got {q}")
     if q == 1.0:
-        return EstimatorSpec(a=0.0, b=0.0, margin=Margin(margin), tag="mean_of_order_p", q=q)
+        return EstimatorSpec(a=0.0, b=0.0, margin=Margin(margin), q=q)
     a = 1.0 - q
-    return EstimatorSpec(a=a, b=-a, margin=Margin(margin), tag="mean_of_order_p", q=q)
+    return EstimatorSpec(a=a, b=-a, margin=Margin(margin), q=q)
 
 
 def _etas_around_half(a):
@@ -127,12 +127,12 @@ class TestQConstructors:
             assert got == want
             assert repr((got.a, got.b, got.q)) == repr((want.a, want.b, want.q)), q
             assert math.copysign(1.0, got.b) == math.copysign(1.0, want.b), q
-            assert got.tag == want.tag and got.margin is want.margin
+            assert got.margin is want.margin
 
     def test_hill_at_one_has_positive_zeros(self):
         for ctor in (EstimatorSpec.conjugate, EstimatorSpec.mean_of_order_p):
             spec = ctor(1.0)
-            assert spec.is_hill
+            assert spec.a == 0.0 and spec.b == 0.0
             assert repr((spec.a, spec.b)) == "(0.0, 0.0)"
 
     @pytest.mark.parametrize("q", [0, 0.0, -1, math.nan, math.inf, float("1e309")],
