@@ -45,6 +45,13 @@ def positive_int(token: str) -> int:
     return value
 
 
+def non_negative_int(token: str) -> int:
+    value = int(token)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def float_list(token: str) -> list[float]:
     return [float(tok) for tok in token.split(",")]
 
@@ -106,8 +113,6 @@ def _fmt(x) -> str:
 
 
 def cmd_estimate(args) -> int:
-    if not 0.0 < args.level < 1.0:
-        raise NumericDomainError(f"--level must lie in (0, 1), got {args.level}")
     sample, pseudo = _ingest_from_args(args)
     n = sample.n
     q_grid = sorted({*args.q, 1.0})  # Hill is always reported
@@ -119,13 +124,14 @@ def cmd_estimate(args) -> int:
         mode = "per_replicate" if args.tau is None and args.beta is None else "user"
         so = SecondOrderSpec(mode, args.tau, args.beta, args.k0).resolve(None, pseudo)
     etas = evaluate_cells(pseudo, grid, so)
+    _, lows, highs = uncertainty(etas, grid.ks, grid.a[:, None], args.level)
+    rows = np.stack([etas, lows, highs], axis=-1).tolist()  # (eta, low, high) per path and k
 
     with _out_stream(args.out) as stream:
         print("q,k,k_over_n,eta,ci_low,ci_high,margin,reduced", file=stream)
-        for estimator, margin, q, a, path in zip(grid.estimator.tolist(), grid.margin.tolist(),
-                                                 grid.q.tolist(), grid.a.tolist(), etas.tolist()):
-            for k, eta in zip(grid.ks.tolist(), path):
-                _, low, high = uncertainty(eta, k, a, args.level)
+        for estimator, margin, q, path in zip(grid.estimator.tolist(), grid.margin.tolist(),
+                                              grid.q.tolist(), rows):
+            for k, (eta, low, high) in zip(grid.ks.tolist(), path):
                 print(f"{q:g},{k},{k / n:g},{_fmt(eta)},{_fmt(low)},{_fmt(high)},"
                       f"{margin},{str(estimator == 'reduced').lower()}", file=stream)
     failed = int(np.isnan(etas).sum())
@@ -235,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact identity checks on a random sample")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=non_negative_int, required=True)
     p.set_defaults(func=cmd_oracle)
 
     return parser
@@ -249,8 +255,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.func is cmd_estimate:
-        if not 0.0 < args.k_max < 1.0:
-            parser.error(f"estimate: --k-max must lie in (0, 1), got {args.k_max}")
+        for flag, value in (("--k-max", args.k_max), ("--level", args.level)):
+            if not 0.0 < value < 1.0:
+                parser.error(f"estimate: {flag} must lie in (0, 1), got {value}")
         unused = [f"--{name}" for name in _REDUCE_BIAS_FLAGS if getattr(args, name) is not None]
         if unused and not args.reduce_bias:
             parser.error(f"estimate: {', '.join(unused)}: no effect without --reduce-bias")

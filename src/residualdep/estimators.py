@@ -178,6 +178,12 @@ def eta_hat(pseudo: PseudoSample, k: int, spec: EstimatorSpec) -> float:
     return m_ab(tail, k, spec.a, spec.b)
 
 
+def _sigma2(a, eta):
+    # sigma_a^2(eta), elementwise; a float product overflows to inf where ** would raise
+    ae = a * eta
+    return eta * eta * ((1.0 - ae) * (1.0 - ae)) / (1.0 - 2.0 * ae)
+
+
 def asymptotic_variance(a: float, eta: float) -> float:
     """sigma_a^2(eta) = eta^2 (1 - a eta)^2 / (1 - 2 a eta), for a eta < 1/2."""
     ae = a * eta
@@ -185,11 +191,7 @@ def asymptotic_variance(a: float, eta: float) -> float:
         raise VarianceDomainError(
             f"a * eta = {ae:.6g} >= 1/2: asymptotic variance undefined for a={a}, eta={eta}"
         )
-    try:
-        square = (1.0 - ae) ** 2
-    except OverflowError:  # float ** raises where float * gives inf
-        square = math.inf
-    return eta * eta * square / (1.0 - 2.0 * ae)
+    return float(_sigma2(a, eta))
 
 
 def asymptotic_bias(a: float, eta: float, tau: float) -> float:
@@ -211,22 +213,10 @@ def _ndtri():
 
 
 def confidence_interval(estimate: float, k: int, a: float, level: float = 0.95):
-    """Plug-in normal CI: estimate +/- z_(1+level)/2 * sigma_a(estimate)/sqrt(k).
-
-    Raises ``VarianceDomainError`` when a * estimate >= 1/2, in which case
-    no interval exists for this (a, eta) combination.
-    """
-    return _interval(estimate, k, asymptotic_variance(a, estimate), level)
-
-
-def _interval(estimate: float, k: int, sigma2: float, level: float):
-    # the interval of an estimate whose sigma_a^2 is already known
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    half_width = _ndtri()((1.0 + level) / 2.0) * math.sqrt(sigma2) / math.sqrt(k)
-    return estimate - half_width, estimate + half_width
+    """Plug-in normal CI estimate +/- z_(1+level)/2 * sigma_a(estimate)/sqrt(k), the view of
+    ``uncertainty`` that raises ``VarianceDomainError`` where a * estimate >= 1/2."""
+    asymptotic_variance(a, estimate)
+    return uncertainty(estimate, k, a, level)[1:]
 
 
 @dataclass(frozen=True)
@@ -249,15 +239,20 @@ class EtaEstimate:
     margin: Margin
 
 
-def uncertainty(estimate: float, k: int, a: float, level: float = 0.95):
-    """(sigma_a^2(estimate) / k, ci_low, ci_high): the plug-in variance of an estimate
-    at level k and its ``confidence_interval``, all three NaN where a * estimate >= 1/2
-    leaves neither defined."""
-    try:
-        sigma2 = asymptotic_variance(a, estimate)
-    except VarianceDomainError:
-        return math.nan, math.nan, math.nan
-    return sigma2 / k, *_interval(estimate, k, sigma2, level)
+def uncertainty(estimate, k, a, level: float = 0.95):
+    """(sigma_a^2(estimate) / k, ci_low, ci_high), elementwise over ``estimate``, ``k`` and
+    ``a`` broadcast together (Python floats for scalar inputs): the plug-in variance and
+    ``confidence_interval``, all three NaN where a * estimate >= 1/2 or estimate is NaN."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+    if np.min(k) < 1:
+        raise ValueError(f"need k >= 1, got {np.min(k)}")
+    eta = np.asarray(estimate, dtype=float)
+    with np.errstate(all="ignore"):
+        sigma2 = np.where(a * eta < 0.5, _sigma2(a, eta), math.nan)
+        half_width = _ndtri()((1.0 + level) / 2.0) * np.sqrt(sigma2) / np.sqrt(k)
+        out = sigma2 / k, eta - half_width, eta + half_width
+    return tuple(map(float, out)) if sigma2.ndim == 0 else out
 
 
 def point_estimate(pseudo: PseudoSample, k: int, spec: EstimatorSpec,

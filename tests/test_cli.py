@@ -419,6 +419,58 @@ class TestEstimateCommand:
         assert exc.value.code == 2
         assert "--k-max must lie in (0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("level", ["0", "1", "1.5", "nan"])
+    def test_level_outside_unit_interval_exit_2(self, uniform_csv, capsys, level):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+                  "--dry", "0", "--quantile", "0", "--q", "1", "--level", level])
+        assert exc.value.code == 2
+        assert f"--level must lie in (0, 1), got {float(level)}" in capsys.readouterr().err
+
+    def test_lower_level_gives_narrower_intervals(self, uniform_csv, capsys):
+        args = ("estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+                "--dry", "0", "--quantile", "0", "--q", "0.5,1.5", "--k-max", "0.05")
+        _, wide, _ = run_cli(capsys, *args)
+        _, narrow, _ = run_cli(capsys, *args, "--level", "0.5")
+        pairs = [(w, n) for w, n in zip(parse_estimate_csv(wide), parse_estimate_csv(narrow))
+                 if w["ci_low"]]
+        assert len(pairs) > 200
+        for w, n in pairs:
+            assert (w["q"], w["k"], w["eta"]) == (n["q"], n["k"], n["eta"])
+            low, high, eta = float(n["ci_low"]), float(n["ci_high"]), float(n["eta"])
+            assert float(w["ci_low"]) < low <= eta <= high < float(w["ci_high"])
+
+    def test_rows_are_the_single_cell_views(self, uniform_csv, capsys):
+        # every written (eta, ci_low, ci_high) is point_estimate's (raw rows) or
+        # reduced_bias_eta's (reduced rows) at the run's (tau_hat, beta_hat) and k*
+        from residualdep import EstimatorSpec, IngestionSpec, KstarRule, PseudoSample, \
+            estimate_second_order, ingest, point_estimate, reduced_bias_eta
+        code, out, _ = run_cli(
+            capsys, "estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+            "--dry", "0", "--quantile", "0", "--q", "0.5,1.5", "--k-max", "0.05",
+            "--reduce-bias", "--level", "0.9",
+        )
+        assert code == 0
+        pseudo = PseudoSample.from_sample(ingest(IngestionSpec(
+            path=uniform_csv, x_col="a", y_col="b", dry_threshold=0.0, quantile_filter=0.0)))
+        so = estimate_second_order(pseudo)
+        checked = {"false": 0, "true": 0}
+        for row in parse_estimate_csv(out):
+            if not row["eta"]:
+                continue
+            q, k = float(row["q"]), int(row["k"])
+            spec = EstimatorSpec.conjugate(q, row["margin"])
+            if row["reduced"] == "true":
+                kstar = KstarRule.pow_n().resolve(pseudo.n, k)
+                want = reduced_bias_eta(pseudo, k, kstar, spec.a, so, 0.9)
+            else:
+                want = point_estimate(pseudo, k, spec, 0.9)
+            fields = ["" if math.isnan(x) else repr(x)
+                      for x in (want.eta, want.ci_low, want.ci_high)]
+            assert [row["eta"], row["ci_low"], row["ci_high"]] == fields, row
+            checked[row["reduced"]] += 1
+        assert checked["false"] >= 250 and checked["true"] >= 250, checked
+
     def test_k_max_below_one_over_n_gives_k_1(self, uniform_csv, capsys):
         code, out, _ = run_cli(
             capsys, "estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
@@ -512,6 +564,16 @@ class TestOracleCommand:
     def test_oversized_n_exit_4(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--n", "5000", "--seed", "1")
         assert code == 4
+
+    def test_negative_seed_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--n", "10", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_seed_zero_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "--n", "10", "--seed", "0")
+        assert code == 0 and "FAIL" not in out
 
 
 def test_main_calls_share_one_parser(uniform_csv, capsys):

@@ -12,6 +12,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 NUMPY_ONLY = """
 import json, sys
 import numpy as np
+import residualdep
 import residualdep.cli as cli
 
 def lazy_modules():
@@ -32,6 +33,10 @@ codes = [
     cli.main(["oracle", "--n", "50", "--seed", "1"]),
 ]
 assert codes == [0, 0, 0], codes
+# sigma_a^2 and the bias factor are numpy-only; scipy comes with the first interval
+assert residualdep.asymptotic_variance(0.5, 0.5) == 0.28125
+assert residualdep.asymptotic_variance(-499.0, 1e153) == float("inf")
+assert residualdep.asymptotic_bias(0.0, 0.5, 0.5) == 0.5 / 0.75
 assert lazy_modules() == [], lazy_modules()
 """
 

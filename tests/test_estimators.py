@@ -10,7 +10,7 @@ from residualdep import BivariateSample, CopulaModel, EstimatorSpec, Margin, \
     NumericDomainError, PseudoSample, VarianceDomainError, asymptotic_bias, \
     asymptotic_variance, confidence_interval, eta_hat, m_ab, point_estimate, \
     replicate_generator, sample_copula
-from residualdep.estimators import m_ab_path
+from residualdep.estimators import m_ab_path, uncertainty
 from residualdep.simulate import DEFAULT_Q_GRID
 
 TAIL_842 = np.array([1.0, 2.0, 4.0, 8.0])  # threshold 1, ratios {2, 4, 8}
@@ -276,6 +276,45 @@ class TestConfidenceInterval:
     def test_unavailable_when_a_eta_too_big(self):
         with pytest.raises(VarianceDomainError):
             confidence_interval(0.6, 50, 1.0)
+
+
+class TestExactParetoTails:
+    """The paper's sigma_a^2 against Monte Carlo on exact Pareto tails T = U^(-eta).
+
+    On such a tail the top k ratios over the threshold are k iid Pareto(eta)
+    values whatever n is, so M_(a,-a) has no second-order bias and k Var(eta_hat)
+    tends to sigma_a^2(eta).  Sampling error sets the bounds: the sample
+    variance's ratio to its mean has standard error about sqrt(2/R) and a coverage
+    fraction sqrt(0.95 * 0.05 / R); at R = 2000 that is 0.032 and 0.0049, and the
+    bounds below are 0.1 and 0.015 (3.2 and 3.1 standard errors).  The ratio
+    converges where the fourth moment of the kernel's summands exists,
+    a * eta < 1/4; past it the plug-in sigma_a(eta_hat) is noisy and the intervals
+    over-cover (about 0.96-0.97 at a * eta = 0.38), so there coverage is only
+    bounded below.
+    """
+
+    R, N, K = 2000, 1000, 500
+    QS, ETAS = (0.5, 0.8, 1.0, 1.5, 1.9), (0.25, 0.5, 0.8)
+    RATIO_BOUND, COVERAGE_BOUND = 0.1, 0.015
+
+    def test_variance_ratio_and_coverage(self):
+        a = np.array([EstimatorSpec.conjugate(q).a for q in self.QS for _ in self.ETAS])
+        eta = np.array([e for _ in self.QS for e in self.ETAS])
+        estimates = np.empty((self.R, len(a)))
+        for r in range(self.R):
+            # M_(a,-a) on U^(-eta) is eta * M_(a eta, -a eta) on U^(-1), so one call on
+            # 1/U runs every (q, eta) pair of replicate r
+            inv_u = np.sort(1.0 / replicate_generator(303, r).random(self.N))
+            estimates[r] = eta * m_ab_path(inv_u, [self.K], a * eta, -a * eta)[:, 0]
+        # the last row is the true eta: its variance column is sigma_a^2(eta) / k
+        variance, low, high = uncertainty(np.vstack([estimates, eta]), self.K, a)
+        ratio = estimates.var(axis=0, ddof=1) / variance[-1]
+        coverage = ((low[:-1] <= eta) & (eta <= high[:-1])).mean(axis=0)
+        inner = a * eta <= 0.25
+        assert inner.sum() == 13
+        assert np.all(np.abs(ratio[inner] - 1.0) <= self.RATIO_BOUND), ratio
+        assert np.all(np.abs(coverage[inner] - 0.95) <= self.COVERAGE_BOUND), coverage
+        assert np.all(coverage >= 0.95 - self.COVERAGE_BOUND), coverage
 
 
 class TestEtaHat:
