@@ -187,7 +187,9 @@ def copula_cdf(model: CopulaModel, u, v):
 
 def _gaussian_cdf(u, v, rho):
     """P(X <= ndtri(u), Y <= ndtri(v)) for the standard bivariate normal with correlation
-    ``rho``, exact via Owen's T; u or v on {0, 1} gives the Frechet boundary values."""
+    ``rho``, exact via Owen's T and clipped to the Frechet-Hoeffding bounds
+    [max(u + v - 1, 0), min(u, v)], which the Owen's T sum can leave by a few ulps where it
+    cancels; u or v on {0, 1} gives the Frechet boundary values."""
     special = _special()
     ndtr, owens_t = special.ndtr, special.owens_t
     h, k = special.ndtri(u), special.ndtri(v)
@@ -202,5 +204,6 @@ def _gaussian_cdf(u, v, rho):
                              np.where(k == 0.0, 0.5 * ndtr(h) - owens_t(h, -rho / s),
                                       0.5 * (ndtr(h) + ndtr(k)) - t1 - t2
                                       - np.where(h * k < 0.0, 0.5, 0.0)))
+    inner = np.clip(inner, np.maximum(u + v - 1.0, 0.0), np.minimum(u, v))
     return np.where((u == 0.0) | (v == 0.0), 0.0,
                     np.where(u == 1.0, v, np.where(v == 1.0, u, inner)))

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 
 import numpy as np
 
@@ -204,12 +203,54 @@ def asymptotic_bias(a: float, eta: float, tau: float) -> float:
     return (1.0 - a * eta) / denom
 
 
-@cache
-def _ndtri():
-    """scipy's normal quantile, imported at the first confidence interval: importing
-    scipy.special takes longer than importing numpy and this package."""
-    from scipy.special import ndtri
-    return ndtri
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical Functions, 1989), the
+# algorithm of scipy.special.ndtri: a rational approximation in y - 1/2 for the centre and
+# in 1/sqrt(-2 log y) for the tails, coefficients highest degree first.
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _polevl(x: float, coefs, acc: float = 0.0) -> float:
+    # Horner from coefs[0]; acc = 1.0 gives Cephes' p1evl (an implicit leading 1)
+    for c in coefs:
+        acc = acc * x + c
+    return acc
+
+
+def _ndtri(p: float) -> float:
+    """The standard normal quantile, as Cephes computes it (no scipy import needed)."""
+    if p <= 0.0:
+        return -math.inf
+    if p >= 1.0:
+        return math.inf
+    flipped = p > 1.0 - _EXP_M2
+    y = 1.0 - p if flipped else p
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0, 1.0))) * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p_tail, q_tail = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x - math.log(x) / x - z * _polevl(z, p_tail) / _polevl(z, q_tail, 1.0)
+    return x if flipped else -x
 
 
 def confidence_interval(estimate: float, k: int, a: float, level: float = 0.95):
@@ -250,7 +291,7 @@ def uncertainty(estimate, k, a, level: float = 0.95):
     eta = np.asarray(estimate, dtype=float)
     with np.errstate(all="ignore"):
         sigma2 = np.where(a * eta < 0.5, _sigma2(a, eta), math.nan)
-        half_width = _ndtri()((1.0 + level) / 2.0) * np.sqrt(sigma2) / np.sqrt(k)
+        half_width = _ndtri((1.0 + level) / 2.0) * np.sqrt(sigma2) / np.sqrt(k)
         out = sigma2 / k, eta - half_width, eta + half_width
     return tuple(map(float, out)) if sigma2.ndim == 0 else out
 

@@ -1,6 +1,6 @@
-"""A fresh interpreter runs the numpy-only commands without importing scipy or a
-process pool, and imports scipy where the Gaussian family and confidence
-intervals need it."""
+"""A fresh interpreter runs the numpy-only commands, confidence intervals
+included, without importing scipy or a process pool, and imports scipy where
+the Gaussian copula family needs it: only that family imports scipy."""
 import os
 import pathlib
 import subprocess
@@ -31,12 +31,22 @@ codes = [
     cli.main(["second-order", "--data", "pairs.csv", "--x", "a", "--y", "b", "--dry", "0",
               "--quantile", "0", "--out", "so.csv"]),
     cli.main(["oracle", "--n", "50", "--seed", "1"]),
+    cli.main(["estimate", "--data", "pairs.csv", "--x", "a", "--y", "b", "--dry", "0",
+              "--quantile", "0", "--reduce-bias", "--out", "eta.csv"]),
 ]
-assert codes == [0, 0, 0], codes
-# sigma_a^2 and the bias factor are numpy-only; scipy comes with the first interval
+assert codes == [0, 0, 0, 0], codes
+# sigma_a^2, the bias factor and the intervals are numpy-only; only the Gaussian
+# copula family imports scipy
 assert residualdep.asymptotic_variance(0.5, 0.5) == 0.28125
 assert residualdep.asymptotic_variance(-499.0, 1e153) == float("inf")
 assert residualdep.asymptotic_bias(0.0, 0.5, 0.5) == 0.5 / 0.75
+low, high = residualdep.confidence_interval(0.5, 100, 0.5)
+assert low < 0.5 < high, (low, high)
+pseudo = residualdep.PseudoSample.from_sample(residualdep.BivariateSample(*rng.random((2, 300))))
+spec = residualdep.EstimatorSpec.conjugate(2.0, "frechet_shifted")
+assert residualdep.point_estimate(pseudo, 50, spec).ci_low < residualdep.eta_hat(pseudo, 50, spec)
+so = residualdep.SecondOrderParams(tau_hat=0.5, beta_hat=1.0, k0=299)
+assert residualdep.reduced_bias_eta(pseudo, 100, 10, 0.5, so).ci_high > 0.0
 assert lazy_modules() == [], lazy_modules()
 """
 
@@ -68,6 +78,7 @@ def test_numpy_only_commands_import_no_scipy_and_no_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "cells.csv").stat().st_size > 0
     assert (tmp_path / "so.csv").read_text().startswith("tau_hat,beta_hat,k0,n\n")
+    assert (tmp_path / "eta.csv").read_text().startswith("q,k,k_over_n,eta,ci_low,ci_high,")
 
 
 def test_scipy_users_work_in_a_fresh_interpreter(tmp_path):

@@ -94,14 +94,9 @@ class TestCdf:
 
     @pytest.mark.parametrize("rho", [-0.999, -0.5, -0.1, 0.0, 0.3, 0.9, 0.999])
     def test_gaussian_matches_per_point_reference(self, rho):
-        """Bit for bit the per-point Owen's T evaluation that the array code replaced."""
-        def reference(u, v):
-            if u == 0.0 or v == 0.0:
-                return 0.0
-            if u == 1.0:
-                return float(v)
-            if v == 1.0:
-                return float(u)
+        """Bit for bit the per-point Owen's T evaluation that the array code replaced, with
+        the interior value clipped to the Frechet-Hoeffding bounds."""
+        def owen(u, v):
             h, k = ndtri(u), ndtri(v)
             if rho == 0.0:
                 return float(ndtr(h) * ndtr(k))
@@ -114,6 +109,15 @@ class TestCdf:
             t2 = owens_t(k, (h - rho * k) / (k * s))
             delta = 0.5 if h * k < 0.0 else 0.0
             return float(0.5 * (ndtr(h) + ndtr(k)) - t1 - t2 - delta)
+
+        def reference(u, v):
+            if u == 0.0 or v == 0.0:
+                return 0.0
+            if u == 1.0:
+                return float(v)
+            if v == 1.0:
+                return float(u)
+            return min(max(owen(u, v), max(u + v - 1.0, 0.0)), min(u, v))
 
         m = CopulaModel("gaussian", rho)
         grid = np.concatenate([[0.0, 1e-300, 1e-12, 0.5, 1 - 1e-12, 1.0],
@@ -129,6 +133,15 @@ class TestCdf:
         row = copula_cdf(m, grid[:, None], 0.25)  # broadcasts against a scalar
         assert row.shape == (len(grid), 1)
         assert row.ravel().tolist() == [reference(a, 0.25) for a in grid.tolist()]
+
+    @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.5, 0.9])
+    def test_gaussian_within_frechet_hoeffding_bounds(self, rho):
+        # the Owen's T sum cancels near the bounds and left them by a few ulps
+        m = CopulaModel("gaussian", rho)
+        u, v = replicate_generator(18).random((2, 300, 300))
+        c = copula_cdf(m, u, v)
+        assert np.all(c >= np.maximum(u + v - 1.0, 0.0)) and np.all(c <= np.minimum(u, v))
+        assert copula_cdf(CopulaModel("gaussian", -0.5), 0.5, 1e-300) >= 0.0
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.family.value}_{m.theta}")
     def test_two_increasing_on_grid(self, model):

@@ -10,7 +10,7 @@ from residualdep import BivariateSample, CopulaModel, EstimatorSpec, Margin, \
     NumericDomainError, PseudoSample, VarianceDomainError, asymptotic_bias, \
     asymptotic_variance, confidence_interval, eta_hat, m_ab, point_estimate, \
     replicate_generator, sample_copula
-from residualdep.estimators import m_ab_path, uncertainty
+from residualdep.estimators import _ndtri, m_ab_path, uncertainty
 from residualdep.simulate import DEFAULT_Q_GRID
 
 TAIL_842 = np.array([1.0, 2.0, 4.0, 8.0])  # threshold 1, ratios {2, 4, 8}
@@ -276,6 +276,25 @@ class TestConfidenceInterval:
     def test_unavailable_when_a_eta_too_big(self):
         with pytest.raises(VarianceDomainError):
             confidence_interval(0.6, 50, 1.0)
+
+
+def test_ndtri_port_equals_scipy_bit_for_bit():
+    """The in-package Cephes ndtri against the installed scipy's, on the centre, both
+    tails down to 1e-300 and the exact points; ==, so any last-bit difference fails."""
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(20211)
+    p = np.concatenate([
+        rng.random(200_000),
+        10.0 ** -rng.uniform(0.0, 300.0, 50_000),
+        1.0 - 10.0 ** -rng.uniform(1.0, 16.0, 50_000),
+        [0.0, 1.0, 0.5, 0.975, 0.95, 0.995, 0.9, 0.8],
+    ])
+    got = np.array([_ndtri(x) for x in p.tolist()])
+    assert len(p) >= 300_000
+    assert got.view(np.int64).tolist() == ndtri(p).view(np.int64).tolist()
+    assert _ndtri(0.0) == -math.inf and _ndtri(1.0) == math.inf
+    assert repr(_ndtri(0.975)) == "1.959963984540054"
 
 
 class TestExactParetoTails:
