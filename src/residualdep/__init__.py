@@ -13,10 +13,10 @@ from .copulas import CopulaModel, Family, copula_cdf, replicate_generator, sampl
 from .errors import ConstraintError, DataError, EstimationError, NumericDomainError, \
     ParameterDomainError, ResidualDepError, TieError, VarianceDomainError
 from .estimators import EstimatorSpec, EtaEstimate, Margin, asymptotic_bias, \
-    asymptotic_variance, confidence_interval, eta_hat, m_ab, m_ab_path, point_estimate
+    asymptotic_variance, eta_hat, m_ab, m_ab_path, point_estimate
 from .ingest import IngestionSpec, empirical_quantile, ingest
 from .pseudo import BivariateSample, PseudoSample, TiePolicy, compute_ranks, \
-    joint_exceedance_count, shift_half
+    joint_exceedance_count
 from .simulate import CellResult, KstarRule, SecondOrderSpec, SimulationReport, \
     StudyConfig, config_from_dict, emit_report, load_config, run_study, write_report
 
@@ -50,7 +50,6 @@ __all__ = [
     "asymptotic_bias",
     "asymptotic_variance",
     "compute_ranks",
-    "confidence_interval",
     "config_from_dict",
     "copula_cdf",
     "default_k0",
@@ -70,6 +69,5 @@ __all__ = [
     "replicate_generator",
     "run_study",
     "sample_copula",
-    "shift_half",
     "write_report",
 ]

@@ -82,8 +82,8 @@ def estimate_second_order(pseudo, k0: int | None = None) -> SecondOrderParams:
     Parameters
     ----------
     pseudo : PseudoSample or 1d array
-        Either a pseudo-observation bundle (its T sequence is used) or an
-        already-sorted positive sample.
+        Either a pseudo-observation bundle (its top k0 + 1 T values are
+        read) or an already-sorted positive sample.
     k0 : int, optional
         Number of top order statistics to use; defaults to [n^0.999].
 
@@ -97,8 +97,7 @@ def estimate_second_order(pseudo, k0: int | None = None) -> SecondOrderParams:
         On degenerate tails (constant top order statistics) or when the
         statistics ratio degenerates so that no positive tau results.
     """
-    t_sorted = pseudo.t_sorted if isinstance(pseudo, PseudoSample) else np.asarray(pseudo)
-    n = len(t_sorted)
+    n = pseudo.n if isinstance(pseudo, PseudoSample) else len(pseudo)
     if n < 50:
         raise DataError(f"second-order estimation needs n >= 50, got {n}")
     if k0 is None:
@@ -106,8 +105,10 @@ def estimate_second_order(pseudo, k0: int | None = None) -> SecondOrderParams:
     if not 2 <= k0 <= n - 1:
         raise ParameterDomainError(f"need 2 <= k0 <= n - 1 = {n - 1}, got {k0}")
 
-    log_t = np.log(t_sorted)
-    excess = log_t[n - k0:] - log_t[n - k0 - 1]
+    tail = pseudo.top(Margin.PARETO_T, k0 + 1) if isinstance(pseudo, PseudoSample) \
+        else np.asarray(pseudo)[n - k0 - 1:]
+    log_t = np.log(tail)  # z_(n-k0) .. z_(n)
+    excess = log_t[1:] - log_t[0]
     if not excess.any():
         raise EstimationError(f"degenerate tail: top {k0} pseudo-observations are constant")
     m1 = float(np.mean(excess))
@@ -172,9 +173,9 @@ def reduced_bias_path(pseudo: PseudoSample, ks, kstars, a, so: SecondOrderParams
     single-pair view that checks k* against sqrt(k).
     """
     ks = np.asarray(ks, dtype=np.intp)
-    n = pseudo.n
-    beta_term = so.beta_hat * (n / ks) ** (-so.tau_hat)
-    v_kstar = pseudo.v_sorted[n - 1 - np.asarray(kstars, dtype=np.intp)]
+    beta_term = so.beta_hat * (pseudo.n / ks) ** (-so.tau_hat)
+    kstars = np.asarray(kstars, dtype=np.intp)
+    v_kstar = pseudo.top(Margin.FRECHET_UNSHIFTED, int(kstars.max(initial=0)) + 1)[-1 - kstars]
     a_col = np.asarray(a, dtype=float)[..., None]
     return _corrected(eta_s, a_col, so.tau_hat, beta_term, v_kstar)
 
@@ -203,7 +204,7 @@ def reduced_bias_eta(pseudo: PseudoSample, k: int, k_star: int, a: float,
             f"k_star = {k_star} exceeds sqrt(k) = sqrt({k}); the correction is "
             "only valid for k_star <= sqrt(k)"
         )
-    eta_s = m_ab_path(pseudo.vstar_sorted, [k], a, -a)
+    eta_s = m_ab_path(pseudo.top(Margin.FRECHET_SHIFTED, min(k + 1, n)), [k], a, -a)
     eta_rb = float(reduced_bias_path(pseudo, [k], [k_star], a, so, eta_s)[0])
     if math.isnan(eta_rb):
         raise NumericDomainError(

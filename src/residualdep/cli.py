@@ -21,7 +21,7 @@ import numpy as np
 
 from .bias import estimate_second_order
 from .copulas import replicate_generator
-from .errors import DataError, NumericDomainError, ResidualDepError
+from .errors import DataError, ResidualDepError
 from .estimators import Margin, m_ab, uncertainty
 from .ingest import IngestionSpec, ingest
 from .pseudo import BivariateSample, PseudoSample, TiePolicy, joint_exceedance_count
@@ -49,6 +49,13 @@ def non_negative_int(token: str) -> int:
     value = int(token)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def oracle_n(token: str) -> int:
+    value = int(token)
+    if not 2 <= value <= 1000:
+        raise argparse.ArgumentTypeError(f"must lie in 2..1000 (O(n^2) recount), got {value}")
     return value
 
 
@@ -166,16 +173,14 @@ def _naive_m_ab(tail, k, a, b) -> float:
 
 def cmd_oracle(args) -> int:
     n = args.n
-    if not 2 <= n <= 1000:
-        raise NumericDomainError(f"oracle needs 2 <= n <= 1000 (O(n^2) recount), got {n}")
     rng = replicate_generator(args.seed)
     sample = BivariateSample(rng.random(n), rng.random(n))
-    pseudo = PseudoSample.from_sample(sample)
+    t = PseudoSample.from_sample(sample).top(Margin.PARETO_T)
 
     failures = 0
     for m in range(1, n + 1):
         brute = joint_exceedance_count(sample, m, 1.0)
-        via_t = int(np.count_nonzero(pseudo.t_sorted >= (n + 1) / m))
+        via_t = int(np.count_nonzero(t >= (n + 1) / m))
         if brute != via_t:
             print(f"FAIL joint-exceedance identity at m={m}: {brute} != {via_t}")
             failures += 1
@@ -185,7 +190,7 @@ def cmd_oracle(args) -> int:
     grid = [(0.0, 0.0), (0.5, -0.5), (-0.5, 0.5), (1.0, -1.0), (-2.0, 2.0), (0.25, 0.75)]
     worst = 0.0
     for k in sorted({k for k in (2, n // 4, n // 2, n - 1) if 1 <= k < n}):
-        tail = pseudo.t_sorted[n - k - 1:]
+        tail = t[n - k - 1:]
         for a, b in grid:
             worst = max(worst, abs(m_ab(tail, k, a, b) - _naive_m_ab(tail, k, a, b)))
     if worst <= 1e-12:
@@ -240,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_second_order)
 
     p = sub.add_parser("oracle", help="exact identity checks on a random sample")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=oracle_n, required=True)
     p.add_argument("--seed", type=non_negative_int, required=True)
     p.set_defaults(func=cmd_oracle)
 

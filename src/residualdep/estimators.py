@@ -35,12 +35,10 @@ __all__ = [
     "EtaEstimate",
     "m_ab_path",
     "m_ab",
-    "sorted_margin",
     "eta_hat",
     "point_estimate",
     "asymptotic_variance",
     "asymptotic_bias",
-    "confidence_interval",
     "uncertainty",
 ]
 
@@ -159,21 +157,9 @@ def m_ab(tail: np.ndarray, k: int, a: float, b: float) -> float:
     return value
 
 
-_MARGIN_ATTR = {
-    Margin.PARETO_T: "t_sorted",
-    Margin.FRECHET_SHIFTED: "vstar_sorted",
-    Margin.FRECHET_UNSHIFTED: "v_sorted",
-}
-
-
-def sorted_margin(pseudo: PseudoSample, margin) -> np.ndarray:
-    """The ascending pseudo-observations z_(1) .. z_(n) of the requested margin."""
-    return getattr(pseudo, _MARGIN_ATTR[Margin(margin)])
-
-
 def eta_hat(pseudo: PseudoSample, k: int, spec: EstimatorSpec) -> float:
     """Point estimate of eta at level k (1 <= k <= n - 1) under the given estimator spec."""
-    tail = sorted_margin(pseudo, spec.margin)[max(pseudo.n - k - 1, 0):]
+    tail = pseudo.top(spec.margin, min(max(k + 1, 0), pseudo.n))  # m_ab rejects a bad k
     return m_ab(tail, k, spec.a, spec.b)
 
 
@@ -253,13 +239,6 @@ def _ndtri(p: float) -> float:
     return x if flipped else -x
 
 
-def confidence_interval(estimate: float, k: int, a: float, level: float = 0.95):
-    """Plug-in normal CI estimate +/- z_(1+level)/2 * sigma_a(estimate)/sqrt(k), the view of
-    ``uncertainty`` that raises ``VarianceDomainError`` where a * estimate >= 1/2."""
-    asymptotic_variance(a, estimate)
-    return uncertainty(estimate, k, a, level)[1:]
-
-
 @dataclass(frozen=True)
 class EtaEstimate:
     """A point estimate with its asymptotic uncertainty report.
@@ -281,9 +260,9 @@ class EtaEstimate:
 
 
 def uncertainty(estimate, k, a, level: float = 0.95):
-    """(sigma_a^2(estimate) / k, ci_low, ci_high), elementwise over ``estimate``, ``k`` and
-    ``a`` broadcast together (Python floats for scalar inputs): the plug-in variance and
-    ``confidence_interval``, all three NaN where a * estimate >= 1/2 or estimate is NaN."""
+    """(sigma_a^2(estimate) / k, ci_low, ci_high) elementwise over broadcast ``estimate``, ``k``
+    and ``a`` (Python floats for scalars): the plug-in variance and normal CI estimate +/-
+    z_(1+level)/2 * sigma_a / sqrt(k), all three NaN where a * estimate >= 1/2 or it is NaN."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     if np.min(k) < 1:

@@ -1,15 +1,14 @@
 """Rank-based pseudo-observations for bivariate tail dependence.
 
-From a paired sample (x_i, y_i) three sequences are built out of the
-marginal ranks r = (rx_i, ry_i):
+A paired sample (x_i, y_i) with marginal ranks (rx_i, ry_i) keeps one
+integer per row, r_i = min(rx_i, ry_i), and three margins map it:
 
-* ``t``      standard-Pareto scale,  T_i = min over margins of (n+1)/(n+1-r)
-* ``v``      unit-Frechet scale,     V_i = -1 / log(min(rx_i, ry_i)/(n+1))
-* ``vstar``  the location-shifted    V*_i = V_i + 1/2
+* ``pareto_t``           standard Pareto,   T_i = (n+1)/(n+1-r_i)
+* ``frechet_unshifted``  unit Frechet,      V_i = -1 / log(r_i/(n+1))
+* ``frechet_shifted``    location-shifted,  V*_i = V_i + 1/2
 
-All three are invariant under strictly increasing transforms of either
-margin, and their upper order statistics are what the eta estimators
-consume.
+All three increase with r_i and are invariant under strictly increasing
+transforms of either margin; their upper order statistics feed the estimators.
 """
 from __future__ import annotations
 
@@ -26,7 +25,6 @@ __all__ = [
     "BivariateSample",
     "PseudoSample",
     "compute_ranks",
-    "shift_half",
     "joint_exceedance_count",
 ]
 
@@ -108,27 +106,34 @@ def compute_ranks(sample: BivariateSample, tie_policy=TiePolicy.FIRST_OCCURRENCE
     return rx, ry
 
 
-def _pareto(rmin, n: int) -> np.ndarray:
-    return (n + 1.0) / (n + 1.0 - rmin)
-
-
 def _frechet(rmin, n: int) -> np.ndarray:
     return -1.0 / np.log(rmin / (n + 1.0))
 
 
-def shift_half(v: np.ndarray) -> np.ndarray:
-    """The shifted sequence V* = V + 1/2."""
-    return v + 0.5
+# (r, n) -> margin, keyed by Margin value: estimators defines Margin and imports this module
+_TRANSFORMS = {
+    "pareto_t": lambda rmin, n: (n + 1.0) / (n + 1.0 - rmin),
+    "frechet_unshifted": _frechet,
+    "frechet_shifted": lambda rmin, n: _frechet(rmin, n) + 0.5,
+}
 
 
 @dataclass(frozen=True)
 class PseudoSample:
-    """The sorted T, V and V* sequences of one sample."""
+    """The ascending r = min(rx, ry) of one sample of size n."""
 
     n: int
-    t_sorted: np.ndarray
-    v_sorted: np.ndarray
-    vstar_sorted: np.ndarray
+    rmin: np.ndarray
+
+    def top(self, margin, m: int | None = None) -> np.ndarray:
+        """The top m values of ``margin`` (a Margin or its value), ascending; all n by default."""
+        transform = _TRANSFORMS.get(getattr(margin, "value", margin))
+        if transform is None:
+            raise ValueError(f"{margin!r} is not a valid Margin")
+        m = self.n if m is None else m
+        if not 0 <= m <= self.n:
+            raise ValueError(f"need 0 <= m <= n = {self.n}, got m = {m}")
+        return transform(self.rmin[self.n - m:], self.n)
 
     @classmethod
     def from_sample(cls, sample: BivariateSample,
@@ -144,18 +149,12 @@ class PseudoSample:
         # T and V both increase with r = min(rx, ry) in floating point too: n + 1 - r is
         # exact and a correctly rounded division keeps the order, and np.log's error of
         # a few ulps is far below the gap 1/(n+1) between neighbouring ratios r/(n+1).
-        # Sorting the integer r once therefore sorts both.
+        # Sorting the integer r once therefore sorts every margin.
         rmin = np.sort(np.asarray(np.minimum(rx, ry), dtype=np.int64))
         if rmin.size and not 1 <= rmin[0] <= rmin[-1] <= n:
             raise DataError(f"ranks must lie in 1..n = {n}, "
                             f"got min(rx, ry) from {rmin[0]} to {rmin[-1]}")
-        v_sorted = _frechet(rmin, n)
-        return cls(
-            n=n,
-            t_sorted=_pareto(rmin, n),
-            v_sorted=v_sorted,
-            vstar_sorted=shift_half(v_sorted),
-        )
+        return cls(n=n, rmin=rmin)
 
 
 def joint_exceedance_count(sample: BivariateSample, k: int, x: float) -> int:

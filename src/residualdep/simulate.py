@@ -19,7 +19,7 @@ import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cached_property, partial
-from itertools import repeat, starmap
+from itertools import compress, repeat, starmap
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -29,7 +29,7 @@ from .bias import SecondOrderParams, SecondOrderSource, effective_tau, \
     estimate_second_order, reduced_bias_path
 from .copulas import CopulaModel, replicate_generator, sample_copula
 from .errors import ParameterDomainError, ResidualDepError, real
-from .estimators import EstimatorSpec, Margin, m_ab_path, sorted_margin
+from .estimators import EstimatorSpec, Margin, m_ab_path
 from .pseudo import BivariateSample, PseudoSample
 
 # Not called here (``evaluate_cells`` makes one ``m_ab_path`` call per margin
@@ -346,9 +346,10 @@ def evaluate_cells(pseudo: PseudoSample, grid: CellGrid,
     (reduced-bias paths are on V*): NaN where an estimate is undefined, and on every
     reduced-bias path when ``so`` is None."""
     etas = np.empty((len(grid.a), len(grid.ks)))
+    top = int(grid.ks.max(initial=0)) + 1  # the values a path reads at its largest k
     for margin in dict.fromkeys(grid.margin.tolist()):
         rows = grid.margin == margin
-        etas[rows] = m_ab_path(sorted_margin(pseudo, margin), grid.ks, grid.a[rows], grid.b[rows])
+        etas[rows] = m_ab_path(pseudo.top(margin, top), grid.ks, grid.a[rows], grid.b[rows])
     if grid.kstars is not None:
         reduced = grid.estimator == "reduced"
         etas[reduced] = math.nan if so is None else \
@@ -477,7 +478,9 @@ class SimulationReport:
     def flagged(self) -> tuple:
         """Cells where more than 10% of replicates failed."""
         failed = (self.config.N - self.n_ok) / self.config.N > 0.1
-        return tuple(self.cells[i] for i in np.flatnonzero(failed).tolist())
+        if not failed.any():  # spares the walk over every row
+            return ()
+        return tuple(starmap(CellResult, compress(self.rows(), failed.ravel().tolist())))
 
     def cell(self, estimator: str, margin, q: float, k: int) -> CellResult:
         key = (estimator, Margin(margin).value, q, k)

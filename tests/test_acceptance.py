@@ -35,7 +35,7 @@ def test_criterion_1_exact_identities():
 
     # q = 1 resolves to Hill bit-for-bit, both parametrisations
     pseudo = _pseudo_from(CopulaModel("frank", 1.0), 400, 11, 0)
-    hill = m_ab(pseudo.t_sorted[400 - 41:], 40, 0.0, 0.0)
+    hill = m_ab(pseudo.top(Margin.PARETO_T)[400 - 41:], 40, 0.0, 0.0)
     ok &= eta_hat(pseudo, 40, EstimatorSpec.conjugate(1.0)) == hill
     ok &= eta_hat(pseudo, 40, EstimatorSpec.mean_of_order_p(1.0)) == hill
 
@@ -59,7 +59,7 @@ def test_criterion_1_exact_identities():
         xs, ys = np.sort(x), np.sort(y)
         brute = ((x[None, :] >= xs[n - ms][:, None])
                  & (y[None, :] >= ys[n - ms][:, None])).sum(axis=1)
-        via_t = (p.t_sorted[None, :] >= (n + 1) / ms[:, None]).sum(axis=1)
+        via_t = (p.top(Margin.PARETO_T)[None, :] >= (n + 1) / ms[:, None]).sum(axis=1)
         worst = max(worst, int(np.abs(brute - via_t).max()))
         ok &= np.array_equal(brute, via_t)
         m_spot = int(ms[-1]) // 2 + 1

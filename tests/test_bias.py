@@ -80,12 +80,17 @@ class TestEstimateSecondOrder:
         assert 0.25 <= np.median(taus) <= 0.75
 
     def test_degenerate_tail_raises(self):
-        pseudo = PseudoSample(
-            n=100, t_sorted=np.full(100, 2.0), v_sorted=np.full(100, 1.0),
-            vstar_sorted=np.full(100, 1.5),
-        )
-        with pytest.raises(EstimationError, match="degenerate"):
-            estimate_second_order(pseudo, 50)
+        # a constant sorted sample, and a bundle whose min(rx, ry) is constant (built
+        # directly: from_ranks never yields one)
+        for sample in (np.full(100, 2.0), PseudoSample(n=100, rmin=np.full(100, 50))):
+            with pytest.raises(EstimationError, match="degenerate"):
+                estimate_second_order(sample, 50)
+
+    def test_bundle_reads_what_its_sorted_t_gives(self):
+        pseudo = _pseudo(3, 400)
+        for k0 in (3, 57, 399, None):
+            assert estimate_second_order(pseudo, k0) == \
+                estimate_second_order(pseudo.top(Margin.PARETO_T), k0), k0
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
@@ -131,7 +136,7 @@ class TestReducedBias:
         k, kstar, a = 40, 6, 0.0
         so = SecondOrderParams(0.5, 0.0, k0=0)
         eta_s = eta_hat(pseudo, k, EstimatorSpec.from_ab(a, -a, Margin.FRECHET_SHIFTED))
-        v_k = pseudo.v_sorted[pseudo.n - 1 - kstar]
+        v_k = pseudo.top(Margin.FRECHET_UNSHIFTED)[pseudo.n - 1 - kstar]
         expected = eta_s * (1 - (1 / (1 + 2 * v_k)) / 1.5)
         assert reduced_bias_eta(pseudo, k, kstar, a, so).eta == pytest.approx(
             expected, abs=1e-15)
@@ -148,7 +153,8 @@ class TestReducedBias:
     def test_shift_term_monotone_in_kstar(self):
         pseudo = _pseudo(11, 500)
         n = pseudo.n
-        terms = [1 / (1 + 2 * pseudo.v_sorted[n - 1 - ks]) for ks in (2, 4, 8, 16)]
+        v = pseudo.top(Margin.FRECHET_UNSHIFTED)
+        terms = [1 / (1 + 2 * v[n - 1 - ks]) for ks in (2, 4, 8, 16)]
         # smaller kstar picks a larger order statistic, shrinking the term
         assert all(t1 <= t2 + 1e-15 for t1, t2 in zip(terms, terms[1:]))
 

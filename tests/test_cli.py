@@ -561,9 +561,14 @@ class TestOracleCommand:
             assert "ok power-mean kernel vs naive loop" in out
             assert "FAIL" not in out
 
-    def test_oversized_n_exit_4(self, capsys):
-        code, _, err = run_cli(capsys, "oracle", "--n", "5000", "--seed", "1")
-        assert code == 4
+    @pytest.mark.parametrize("n", [0, 1, 1001, 5000])
+    def test_n_outside_2_to_1000_exit_2(self, capsys, n):
+        # n = 2, the smallest accepted, runs in test_identities_hold
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--n", str(n), "--seed", "1"])
+        assert exc.value.code == 2
+        assert f"argument --n: must lie in 2..1000 (O(n^2) recount), got {n}" \
+            in capsys.readouterr().err
 
     def test_negative_seed_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -40,7 +40,7 @@ assert codes == [0, 0, 0, 0], codes
 assert residualdep.asymptotic_variance(0.5, 0.5) == 0.28125
 assert residualdep.asymptotic_variance(-499.0, 1e153) == float("inf")
 assert residualdep.asymptotic_bias(0.0, 0.5, 0.5) == 0.5 / 0.75
-low, high = residualdep.confidence_interval(0.5, 100, 0.5)
+low, high = residualdep.estimators.uncertainty(0.5, 100, 0.5)[1:]
 assert low < 0.5 < high, (low, high)
 pseudo = residualdep.PseudoSample.from_sample(residualdep.BivariateSample(*rng.random((2, 300))))
 spec = residualdep.EstimatorSpec.conjugate(2.0, "frechet_shifted")
@@ -53,14 +53,15 @@ assert lazy_modules() == [], lazy_modules()
 SCIPY_USERS = """
 import sys
 import numpy as np
-from residualdep import CopulaModel, confidence_interval, copula_cdf, sample_copula
+from residualdep import CopulaModel, copula_cdf, sample_copula
+from residualdep.estimators import uncertainty
 
 assert "scipy" not in sys.modules
 u, v = sample_copula(CopulaModel("gaussian", 0.5), 200, 3)
 assert "scipy" in sys.modules
 assert np.all((0.0 < u) & (u < 1.0)) and np.all((0.0 < v) & (v < 1.0))
 print(repr(copula_cdf(CopulaModel("gaussian", 0.5), 0.3, 0.6)))
-print(repr(confidence_interval(0.5, 100, 0.5)))
+print(repr(uncertainty(0.5, 100, 0.5)[1:]))
 print(u.tobytes().hex()[:64], v.tobytes().hex()[:64])
 """
 
@@ -82,13 +83,14 @@ def test_numpy_only_commands_import_no_scipy_and_no_pool(tmp_path):
 
 
 def test_scipy_users_work_in_a_fresh_interpreter(tmp_path):
-    from residualdep import CopulaModel, confidence_interval, copula_cdf, sample_copula
+    from residualdep import CopulaModel, copula_cdf, sample_copula
+    from residualdep.estimators import uncertainty
 
     proc = run_fresh(SCIPY_USERS, tmp_path)
     assert proc.returncode == 0, proc.stderr
     u, v = sample_copula(CopulaModel("gaussian", 0.5), 200, 3)
     assert proc.stdout.splitlines() == [
         repr(copula_cdf(CopulaModel("gaussian", 0.5), 0.3, 0.6)),
-        repr(confidence_interval(0.5, 100, 0.5)),
+        repr(uncertainty(0.5, 100, 0.5)[1:]),
         f"{u.tobytes().hex()[:64]} {v.tobytes().hex()[:64]}",
     ]

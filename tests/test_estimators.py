@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from residualdep import BivariateSample, CopulaModel, EstimatorSpec, Margin, \
     NumericDomainError, PseudoSample, VarianceDomainError, asymptotic_bias, \
-    asymptotic_variance, confidence_interval, eta_hat, m_ab, point_estimate, \
+    asymptotic_variance, compute_ranks, eta_hat, m_ab, point_estimate, \
     replicate_generator, sample_copula
 from residualdep.estimators import _ndtri, m_ab_path, uncertainty
 from residualdep.simulate import DEFAULT_Q_GRID
@@ -186,7 +186,7 @@ class TestParametrizations:
         rng = np.random.default_rng(2)
         u, v = rng.random(300), rng.random(300)
         pseudo = PseudoSample.from_sample(BivariateSample(u, v))
-        hill = m_ab(pseudo.t_sorted[300 - 31:], 30, 0.0, 0.0)
+        hill = m_ab(pseudo.top(Margin.PARETO_T)[300 - 31:], 30, 0.0, 0.0)
         assert eta_hat(pseudo, 30, EstimatorSpec.conjugate(1.0)) == hill
         assert eta_hat(pseudo, 30, EstimatorSpec.mean_of_order_p(1.0)) == hill
 
@@ -260,7 +260,7 @@ class TestClosedForms:
 
 class TestConfidenceInterval:
     def test_half_width_plug_in(self):
-        low, high = confidence_interval(0.5, 100, 0.0, 0.95)
+        low, high = uncertainty(0.5, 100, 0.0, 0.95)[1:]
         half = (high - low) / 2
         assert half == pytest.approx(0.098, abs=1e-3)
         assert (low + high) / 2 == pytest.approx(0.5, abs=1e-15)
@@ -268,14 +268,15 @@ class TestConfidenceInterval:
     def test_width_shrinks_like_sqrt_k(self):
         w = []
         for k in (100, 400, 1600):
-            low, high = confidence_interval(0.5, k, 0.0)
+            low, high = uncertainty(0.5, k, 0.0)[1:]
             w.append(high - low)
         assert w[0] / w[1] == pytest.approx(2.0, rel=1e-12)
         assert w[1] / w[2] == pytest.approx(2.0, rel=1e-12)
 
     def test_unavailable_when_a_eta_too_big(self):
         with pytest.raises(VarianceDomainError):
-            confidence_interval(0.6, 50, 1.0)
+            asymptotic_variance(1.0, 0.6)
+        assert all(math.isnan(bound) for bound in uncertainty(0.6, 50, 1.0)[1:])
 
 
 def test_ndtri_port_equals_scipy_bit_for_bit():
@@ -338,13 +339,17 @@ class TestExactParetoTails:
 
 class TestEtaHat:
     def test_margin_dispatch(self):
+        # each margin's tail mapped here from the sorted min(rx, ry), not through top()
         rng = np.random.default_rng(12)
-        pseudo = PseudoSample.from_sample(BivariateSample(rng.random(200), rng.random(200)))
+        sample = BivariateSample(rng.random(200), rng.random(200))
+        pseudo = PseudoSample.from_sample(sample)
+        rmin = np.sort(np.minimum(*compute_ranks(sample)))
+        v = -1.0 / np.log(rmin / 201.0)
         k = 30
         for margin, arr in [
-            (Margin.PARETO_T, pseudo.t_sorted),
-            (Margin.FRECHET_SHIFTED, pseudo.vstar_sorted),
-            (Margin.FRECHET_UNSHIFTED, pseudo.v_sorted),
+            (Margin.PARETO_T, 201.0 / (201.0 - rmin)),
+            (Margin.FRECHET_SHIFTED, v + 0.5),
+            (Margin.FRECHET_UNSHIFTED, v),
         ]:
             spec = EstimatorSpec.conjugate(1.2, margin=margin)
             expected = m_ab(arr[200 - k - 1:], k, spec.a, spec.b)

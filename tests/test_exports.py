@@ -51,4 +51,9 @@ def test_removed_names_stay_removed():
     assert not hasattr(copulas, "_as_generator")
     spec_fields = {f.name for f in dataclasses.fields(estimators.EstimatorSpec)}
     assert "tag" not in spec_fields and not hasattr(estimators.EstimatorSpec, "is_hill")
-    assert {"rx", "ry"}.isdisjoint(f.name for f in dataclasses.fields(pseudo.PseudoSample))
+    assert [f.name for f in dataclasses.fields(pseudo.PseudoSample)] == ["n", "rmin"]
+    for name in ("t_sorted", "v_sorted", "vstar_sorted"):
+        assert not hasattr(pseudo.PseudoSample, name), name
+    for module, name in ((pseudo, "shift_half"), (estimators, "sorted_margin"),
+                         (estimators, "_MARGIN_ATTR"), (estimators, "confidence_interval")):
+        assert not hasattr(module, name) and not hasattr(residualdep, name), name

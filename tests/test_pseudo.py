@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from residualdep import BivariateSample, DataError, PseudoSample, TieError, TiePolicy, \
-    compute_ranks, joint_exceedance_count, shift_half
+from residualdep import BivariateSample, DataError, Margin, PseudoSample, TieError, TiePolicy, \
+    compute_ranks, joint_exceedance_count
+
+T, V, VSTAR = Margin.PARETO_T, Margin.FRECHET_UNSHIFTED, Margin.FRECHET_SHIFTED
 
 
 def _sample(x, y):
@@ -126,35 +128,35 @@ class TestTieCheckedRanking:
 
 class TestPseudoValues:
     def test_pareto_example_n3(self):
-        t = PseudoSample.from_ranks(np.array([1, 2, 3]), np.array([2, 1, 3])).t_sorted
+        t = PseudoSample.from_ranks(np.array([1, 2, 3]), np.array([2, 1, 3])).top(T)
         assert_allclose(t, [4 / 3, 4 / 3, 4.0], rtol=0, atol=0)
 
     def test_pareto_comonotone_is_plotting_position(self):
         r = np.array([2, 4, 1, 3])
-        t = PseudoSample.from_ranks(r, r).t_sorted
+        t = PseudoSample.from_ranks(r, r).top(T)
         assert_allclose(t, 5.0 / (5.0 - np.sort(r)), atol=0)
 
     def test_top_rank_hits_maximum(self):
         n = 6
         rx = np.arange(1, n + 1)
-        t = PseudoSample.from_ranks(rx, rx).t_sorted
+        t = PseudoSample.from_ranks(rx, rx).top(T)
         assert t.max() == n + 1
 
     def test_frechet_example_n3(self):
         # min(rx, ry) = (3, 1, 1): the largest V is the one of rank 3
-        v = PseudoSample.from_ranks(np.array([3, 1, 2]), np.array([3, 2, 1])).v_sorted
-        assert v[-1] == pytest.approx(3.476059496782207, abs=1e-12)
-        assert shift_half(v)[-1] == pytest.approx(3.976059496782207, abs=1e-12)
+        p = PseudoSample.from_ranks(np.array([3, 1, 2]), np.array([3, 2, 1]))
+        assert p.top(V)[-1] == pytest.approx(3.476059496782207, abs=1e-12)
+        assert p.top(VSTAR)[-1] == pytest.approx(3.976059496782207, abs=1e-12)
 
     def test_frechet_equal_ranks(self):
         r = np.array([2, 4, 1, 3])
-        v = PseudoSample.from_ranks(r, r).v_sorted
+        v = PseudoSample.from_ranks(r, r).top(V)
         assert_allclose(v, -1.0 / np.log(np.sort(r) / 5.0), atol=1e-15)
 
     def test_bottom_rank_smallest_value(self):
         n = 1000
         rx = np.arange(1, n + 1)
-        v = PseudoSample.from_ranks(rx, rx).v_sorted
+        v = PseudoSample.from_ranks(rx, rx).top(V)
         assert v.min() == pytest.approx(1.0 / np.log(n + 1), rel=1e-12)
 
     def test_value_ranges(self):
@@ -162,12 +164,12 @@ class TestPseudoValues:
         n = 200
         s = _sample(rng.random(n), rng.random(n))
         p = PseudoSample.from_sample(s)
-        assert p.t_sorted.min() >= (n + 1) / n
-        assert p.t_sorted.max() <= n + 1
-        assert np.all(np.isfinite(p.v_sorted))
-        assert p.v_sorted.min() >= 1.0 / np.log(n + 1) - 1e-12
-        assert p.v_sorted.max() <= -1.0 / np.log(n / (n + 1)) + 1e-12
-        assert_allclose(p.vstar_sorted, p.v_sorted + 0.5, rtol=0, atol=0)
+        assert p.top(T).min() >= (n + 1) / n
+        assert p.top(T).max() <= n + 1
+        assert np.all(np.isfinite(p.top(V)))
+        assert p.top(V).min() >= 1.0 / np.log(n + 1) - 1e-12
+        assert p.top(V).max() <= -1.0 / np.log(n / (n + 1)) + 1e-12
+        assert_allclose(p.top(VSTAR), p.top(V) + 0.5, rtol=0, atol=0)
 
     def test_rank_invariance_under_monotone_transforms(self):
         rng = np.random.default_rng(8)
@@ -176,8 +178,8 @@ class TestPseudoValues:
         base = PseudoSample.from_sample(sample)
         warped = PseudoSample.from_sample(warped_sample)
         assert_array_equal(compute_ranks(sample)[0], compute_ranks(warped_sample)[0])
-        assert_allclose(base.t_sorted, warped.t_sorted, rtol=0, atol=0)
-        assert_allclose(base.v_sorted, warped.v_sorted, rtol=0, atol=0)
+        assert_allclose(base.top(T), warped.top(T), rtol=0, atol=0)
+        assert_allclose(base.top(V), warped.top(V), rtol=0, atol=0)
 
     def test_order_statistic_identity_brute_force(self):
         rng = np.random.default_rng(21)
@@ -186,7 +188,7 @@ class TestPseudoValues:
             p = PseudoSample.from_sample(s)
             rmin = np.minimum(*compute_ranks(s))
             brute = np.sort((n + 1.0) / (n + 1.0 - np.sort(rmin)))
-            assert_allclose(p.t_sorted, brute, rtol=0, atol=0)
+            assert_allclose(p.top(T), brute, rtol=0, atol=0)
 
     def test_from_ranks_matches_sorting_each_sequence(self):
         # from_ranks sorts min(rx, ry) once; sorting T and V themselves is the reference
@@ -198,9 +200,9 @@ class TestPseudoValues:
                 rmin = np.minimum(*ranks)
                 t_ref = np.sort((n + 1.0) / (n + 1.0 - rmin))
                 v_ref = np.sort(-1.0 / np.log(rmin / (n + 1.0)))
-                assert p.t_sorted.tobytes() == t_ref.tobytes(), n
-                assert p.v_sorted.tobytes() == v_ref.tobytes(), n
-                assert p.vstar_sorted.tobytes() == shift_half(v_ref).tobytes(), n
+                assert p.top(T).tobytes() == t_ref.tobytes(), n
+                assert p.top(V).tobytes() == v_ref.tobytes(), n
+                assert p.top(VSTAR).tobytes() == (v_ref + 0.5).tobytes(), n
 
     @pytest.mark.parametrize("rx,ry", [([0, 2, 3], [1, 3, 2]), ([4, 2, 3], [4, 3, 2]),
                                        ([1, 2, -3], [1, 2, 3])])
@@ -215,6 +217,32 @@ class TestPseudoValues:
             BivariateSample(np.array([1.0, 2.0]), np.array([1.0]))
         with pytest.raises(DataError):
             BivariateSample(np.array([1.0]), np.array([1.0]))
+
+
+class TestTop:
+    @pytest.mark.parametrize("n", [2, 3, 69, 500, 20000])
+    def test_top_m_is_the_last_m_of_all_n(self, n):
+        rng = np.random.default_rng(n)
+        p = PseudoSample.from_ranks(rng.permutation(n) + 1, rng.permutation(n) + 1)
+        for margin in Margin:
+            full = p.top(margin)
+            assert len(full) == n
+            for m in (0, 1, n // 2, n):
+                assert p.top(margin, m).tobytes() == full[n - m:].tobytes(), (margin, m)
+                assert p.top(margin.value, m).tobytes() == full[n - m:].tobytes(), (margin, m)
+
+    @pytest.mark.parametrize("m", [-1, 11])
+    def test_m_outside_0_to_n_raises(self, m):
+        p = PseudoSample.from_ranks(np.arange(1, 11), np.arange(1, 11))
+        for margin in Margin:
+            with pytest.raises(ValueError, match=f"need 0 <= m <= n = 10, got m = {m}"):
+                p.top(margin, m)
+
+    @pytest.mark.parametrize("margin", ["pareto", "T", "", None])
+    def test_unknown_margin_raises(self, margin):
+        p = PseudoSample.from_ranks(np.arange(1, 11), np.arange(1, 11))
+        with pytest.raises(ValueError, match=f"{margin!r} is not a valid Margin"):
+            p.top(margin)
 
 
 class TestJointExceedance:
@@ -242,7 +270,7 @@ class TestJointExceedance:
                 1 for i in range(n)
                 if s.x[i] >= xs[n - m] and s.y[i] >= ys[n - m]
             )
-            via_t = int(np.sum(p.t_sorted >= (n + 1) / m))
+            via_t = int(np.sum(p.top(T) >= (n + 1) / m))
             assert brute == joint_exceedance_count(s, m, 1.0) == via_t
 
     def test_indicator_identity_many_samples(self):
@@ -253,7 +281,7 @@ class TestJointExceedance:
             p = PseudoSample.from_sample(s)
             ms = np.arange(1, n + 1)
             counts = np.array([joint_exceedance_count(s, int(m), 1.0) for m in ms])
-            via_t = (p.t_sorted[None, :] >= (n + 1) / ms[:, None]).sum(axis=1)
+            via_t = (p.top(T)[None, :] >= (n + 1) / ms[:, None]).sum(axis=1)
             assert_array_equal(counts, via_t)
 
     def test_bounds_checked(self):

@@ -200,8 +200,13 @@ def test_cells_and_flagged(study):
     _, report, reference = study
     assert _same(report.cells, reference)
     assert _same(report.flagged, [c for c in reference if c.fail_fraction > 0.1])
-    for cell in report.flagged:
-        assert any(cell is c for c in report.cells)
+
+
+def test_flagged_leaves_cells_unbuilt(study):
+    _, report, reference = study
+    fresh = replace(report)  # the same report, its cached rows not yet built
+    assert _same(fresh.flagged, [c for c in reference if c.fail_fraction > 0.1])
+    assert "cells" not in vars(fresh)
 
 
 def test_rows_types(study):

@@ -403,7 +403,7 @@ class TestRunStudy:
         # everywhere (q = 1e-6)
         from residualdep import effective_tau
         from residualdep.bias import reduced_bias_path
-        from residualdep.estimators import m_ab_path, sorted_margin
+        from residualdep.estimators import m_ab_path
         from residualdep.simulate import ALL_MARGINS, cell_grid, evaluate_cells
         grid = cell_grid(ALL_MARGINS, (1e-6, 1e-3, 0.5, 1.0, 1.5), k_grid, KstarRule.pow_n(),
                          120, reduced)
@@ -416,7 +416,7 @@ class TestRunStudy:
         assert etas.shape == (len(grid.a), len(k_grid))
         log_space = overflowed = 0
         for row, (estimator, margin, _, a, b) in zip(etas, zip(*grid[:5])):
-            tail = sorted_margin(pseudo, margin)
+            tail = pseudo.top(margin)
             want = m_ab_path(tail, grid.ks, a, b)
             if estimator == "reduced":
                 want = reduced_bias_path(pseudo, grid.ks, grid.kstars, a, so, want)
@@ -460,10 +460,11 @@ class TestRunStudy:
         # oracle mode without ground truth: every reduced cell fails, raw fine
         cfg = small_config(model=CopulaModel("amh", 0.3), N=5)
         report = run_study(cfg)
+        flagged = [repr(cell) for cell in report.flagged]  # NaN fields compare by text
         for cell in report.cells:
             if cell.estimator == "reduced":
                 assert cell.n_fail == 5 and math.isnan(cell.mean)
-                assert cell in report.flagged
+                assert repr(cell) in flagged
             else:
                 assert cell.n_ok == 5
                 assert math.isnan(cell.bias)  # no ground truth to compare against

@@ -204,8 +204,6 @@ class TestEtaHatBounds:
         for margin in Margin:
             spec = EstimatorSpec.conjugate(0.7, margin)
             for k in (1, 20, 39):
-                tail = {Margin.PARETO_T: pseudo.t_sorted,
-                        Margin.FRECHET_SHIFTED: pseudo.vstar_sorted,
-                        Margin.FRECHET_UNSHIFTED: pseudo.v_sorted}[margin][40 - k - 1:]
+                tail = pseudo.top(margin)[40 - k - 1:]
                 assert len(tail) == k + 1
                 assert eta_hat(pseudo, k, spec) == m_ab(tail, k, spec.a, spec.b)
