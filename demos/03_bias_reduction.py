@@ -7,13 +7,11 @@ from (tau, beta) and one V order statistic, and is worth the most here:
 the raw estimator's positive bias grows steadily with k while the
 corrected path stays near the truth.
 """
-import math
-
 import numpy as np
 
-from residualdep import BivariateSample, CopulaModel, EstimatorSpec, Margin, \
-    PseudoSample, SecondOrderParams, effective_tau, eta_hat, reduced_bias_eta, \
-    replicate_generator, sample_copula
+from residualdep import BivariateSample, CopulaModel, EstimatorSpec, KstarRule, Margin, \
+    PseudoSample, SecondOrderSpec, eta_hat, reduced_bias_eta, replicate_generator, \
+    sample_copula
 
 model = CopulaModel("amh", -1.0)
 truth = model.true_eta
@@ -21,11 +19,10 @@ n, n_rep, q = 500, 300, 0.9
 a = 1.0 - 1.0 / q
 
 # study protocol: second-order parameters supplied externally; here the
-# model's effective tau with no Hall-Welsh amplitude
-so = SecondOrderParams(tau_hat=effective_tau(model.true_eta, model.true_tau),
-                       beta_hat=0.0, k0=0)
+# oracle ones, the model's effective tau with no Hall-Welsh amplitude (beta = 0)
+so = SecondOrderSpec("oracle").resolve(model, None)
 spec = EstimatorSpec.from_ab(a, -a, Margin.FRECHET_SHIFTED)
-kstar_nominal = max(int(n ** 0.3), 10)
+kstar_rule = KstarRule.pow_n()  # k* = max([n^0.3], 10), capped at sqrt(k)
 
 ks = np.arange(15, 76, 5)
 raw_mean = np.zeros(len(ks))
@@ -34,7 +31,7 @@ for r in range(n_rep):
     u, v = sample_copula(model, n, replicate_generator(42, r))
     pseudo = PseudoSample.from_sample(BivariateSample(u, v))
     for i, k in enumerate(ks):
-        kstar = min(kstar_nominal, math.isqrt(int(k)))
+        kstar = kstar_rule.resolve(n, int(k))
         raw_mean[i] += eta_hat(pseudo, int(k), spec) / n_rep
         red_mean[i] += reduced_bias_eta(pseudo, int(k), kstar, a, so).eta / n_rep
 

@@ -7,15 +7,15 @@ variance/bias formulas and confidence intervals, a reduced-bias variant
 driven by second-order parameter estimates, a reproducible Monte Carlo
 harness, and CSV ingestion for applied analyses.
 """
-from .bias import SecondOrderParams, SecondOrderSource, default_k0, effective_tau, \
-    estimate_second_order, reduced_bias_eta, reduced_bias_path
+from .bias import SecondOrderParams, default_k0, effective_tau, estimate_second_order, \
+    reduced_bias_eta, reduced_bias_path
 from .copulas import CopulaModel, Family, copula_cdf, replicate_generator, sample_copula
 from .errors import ConstraintError, DataError, EstimationError, NumericDomainError, \
     ParameterDomainError, ResidualDepError, TieError, VarianceDomainError
-from .estimators import EstimatorSpec, EtaEstimate, Margin, asymptotic_bias, \
-    asymptotic_variance, eta_hat, m_ab, m_ab_path, point_estimate
+from .estimators import EstimatorSpec, EtaEstimate, asymptotic_bias, asymptotic_variance, \
+    eta_hat, m_ab, m_ab_path, point_estimate
 from .ingest import IngestionSpec, empirical_quantile, ingest
-from .pseudo import BivariateSample, PseudoSample, TiePolicy, compute_ranks, \
+from .pseudo import BivariateSample, Margin, PseudoSample, TiePolicy, compute_ranks, \
     joint_exceedance_count
 from .simulate import CellResult, KstarRule, SecondOrderSpec, SimulationReport, \
     StudyConfig, config_from_dict, emit_report, load_config, run_study, write_report
@@ -40,7 +40,6 @@ __all__ = [
     "PseudoSample",
     "ResidualDepError",
     "SecondOrderParams",
-    "SecondOrderSource",
     "SecondOrderSpec",
     "SimulationReport",
     "StudyConfig",

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import ConstraintError, DataError, EstimationError, NumericDomainError, \
     ParameterDomainError
-from .estimators import EtaEstimate, Margin, m_ab_path, uncertainty
-from .pseudo import PseudoSample
+from .estimators import EtaEstimate, m_ab_path, uncertainty
+from .pseudo import Margin, PseudoSample
 
 # Not called here (the reduced-bias estimate reaches the kernel through
 # ``m_ab_path``), but the benchmark's tracer, bench/runner.py, wraps it under
@@ -30,7 +29,6 @@ from .pseudo import PseudoSample
 from .estimators import eta_hat  # noqa: F401
 
 __all__ = [
-    "SecondOrderSource",
     "SecondOrderParams",
     "effective_tau",
     "default_k0",
@@ -40,17 +38,11 @@ __all__ = [
 ]
 
 
-class SecondOrderSource(str, Enum):
-    ESTIMATED = "estimated"
-    USER_SUPPLIED = "user_supplied"
-
-
 @dataclass(frozen=True)
 class SecondOrderParams:
     tau_hat: float
     beta_hat: float
-    k0: int
-    source: SecondOrderSource = SecondOrderSource.USER_SUPPLIED
+    k0: int  # 0 for given values, else the count of top order statistics estimated on
 
     def __post_init__(self):
         if not self.tau_hat > 0.0:
@@ -133,8 +125,7 @@ def estimate_second_order(pseudo, k0: int | None = None) -> SecondOrderParams:
     beta = _beta_companion(log_t, n, k0, tau)
     if not math.isfinite(beta):
         raise EstimationError(f"beta estimate diverged at k0={k0}")
-    return SecondOrderParams(tau_hat=tau, beta_hat=beta, k0=k0,
-                             source=SecondOrderSource.ESTIMATED)
+    return SecondOrderParams(tau_hat=tau, beta_hat=beta, k0=k0)
 
 
 def _beta_companion(log_t: np.ndarray, n: int, k0: int, tau: float) -> float:

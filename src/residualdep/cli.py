@@ -22,9 +22,9 @@ import numpy as np
 from .bias import estimate_second_order
 from .copulas import replicate_generator
 from .errors import DataError, ResidualDepError
-from .estimators import Margin, m_ab, uncertainty
+from .estimators import m_ab, uncertainty
 from .ingest import IngestionSpec, ingest
-from .pseudo import BivariateSample, PseudoSample, TiePolicy, joint_exceedance_count
+from .pseudo import BivariateSample, Margin, PseudoSample, TiePolicy, joint_exceedance_count
 from .simulate import KstarRule, SecondOrderSpec, cell_grid, evaluate_cells, load_config, \
     run_study, write_report
 

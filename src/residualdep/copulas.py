@@ -9,7 +9,7 @@ against ground truth:
     family    theta range   (eta, tau)
     --------  -----------   -----------------------------
     fgm       [-1, 1]       (1/2, 1/2)
-    frank     theta > 0     (1/2, 1/2)
+    frank     (0, 20]       (1/2, 1/2)
     amh       [-1, 1]       (1/3, 2/3) at theta = -1, else unknown
     gaussian  (-1, 1)       ((1+theta)/2, 0)
 
@@ -67,8 +67,8 @@ class CopulaModel:
                 raise ParameterDomainError(f"fgm requires theta in [-1, 1], got {theta}")
             eta, tau = 0.5, 0.5
         elif fam is Family.FRANK:
-            if not theta > 0.0:
-                raise ParameterDomainError(f"frank requires theta > 0, got {theta}")
+            if not 0.0 < theta <= 20.0:  # the sampler loses ~eps e^theta/theta in v
+                raise ParameterDomainError(f"frank requires theta in (0, 20], got {theta}")
             eta, tau = 0.5, 0.5
         elif fam is Family.AMH:
             if not -1.0 <= theta <= 1.0:

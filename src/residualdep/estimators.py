@@ -22,15 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import NumericDomainError, VarianceDomainError
-from .pseudo import PseudoSample
+from .pseudo import Margin, PseudoSample
 
 __all__ = [
-    "Margin",
     "EstimatorSpec",
     "EtaEstimate",
     "m_ab_path",
@@ -41,12 +39,6 @@ __all__ = [
     "asymptotic_bias",
     "uncertainty",
 ]
-
-
-class Margin(str, Enum):
-    PARETO_T = "pareto_t"
-    FRECHET_SHIFTED = "frechet_shifted"
-    FRECHET_UNSHIFTED = "frechet_unshifted"
 
 
 @dataclass(frozen=True)

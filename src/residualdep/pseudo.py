@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DataError, TieError
 
 __all__ = [
+    "Margin",
     "TiePolicy",
     "BivariateSample",
     "PseudoSample",
@@ -29,6 +30,12 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+
+class Margin(str, Enum):
+    PARETO_T = "pareto_t"
+    FRECHET_SHIFTED = "frechet_shifted"
+    FRECHET_UNSHIFTED = "frechet_unshifted"
 
 
 class TiePolicy(str, Enum):
@@ -110,11 +117,11 @@ def _frechet(rmin, n: int) -> np.ndarray:
     return -1.0 / np.log(rmin / (n + 1.0))
 
 
-# (r, n) -> margin, keyed by Margin value: estimators defines Margin and imports this module
+# (r, n) -> margin
 _TRANSFORMS = {
-    "pareto_t": lambda rmin, n: (n + 1.0) / (n + 1.0 - rmin),
-    "frechet_unshifted": _frechet,
-    "frechet_shifted": lambda rmin, n: _frechet(rmin, n) + 0.5,
+    Margin.PARETO_T: lambda rmin, n: (n + 1.0) / (n + 1.0 - rmin),
+    Margin.FRECHET_UNSHIFTED: _frechet,
+    Margin.FRECHET_SHIFTED: lambda rmin, n: _frechet(rmin, n) + 0.5,
 }
 
 
@@ -127,9 +134,7 @@ class PseudoSample:
 
     def top(self, margin, m: int | None = None) -> np.ndarray:
         """The top m values of ``margin`` (a Margin or its value), ascending; all n by default."""
-        transform = _TRANSFORMS.get(getattr(margin, "value", margin))
-        if transform is None:
-            raise ValueError(f"{margin!r} is not a valid Margin")
+        transform = _TRANSFORMS[Margin(margin)]
         m = self.n if m is None else m
         if not 0 <= m <= self.n:
             raise ValueError(f"need 0 <= m <= n = {self.n}, got m = {m}")

@@ -25,12 +25,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bias import SecondOrderParams, SecondOrderSource, effective_tau, \
-    estimate_second_order, reduced_bias_path
+from .bias import SecondOrderParams, effective_tau, estimate_second_order, reduced_bias_path
 from .copulas import CopulaModel, replicate_generator, sample_copula
 from .errors import ParameterDomainError, ResidualDepError, real
-from .estimators import EstimatorSpec, Margin, m_ab_path
-from .pseudo import BivariateSample, PseudoSample
+from .estimators import EstimatorSpec, m_ab_path
+from .pseudo import BivariateSample, Margin, PseudoSample
 
 # Not called here (``evaluate_cells`` makes one ``m_ab_path`` call per margin
 # and corrects the reduced-bias rows with ``reduced_bias_path``), but the
@@ -85,9 +84,9 @@ class KstarRule:
 
     @classmethod
     def fixed(cls, count: int) -> "KstarRule":
-        if count < 1:
+        if (count := _integral("kstar_rule", count)) < 1:
             raise ValueError(f"fixed k* must be >= 1, got {count}")
-        return cls(kind="fixed", value=int(count))
+        return cls(kind="fixed", value=count)
 
     @classmethod
     def parse(cls, token) -> "KstarRule":
@@ -95,7 +94,7 @@ class KstarRule:
         if isinstance(token, KstarRule):
             return token
         if not isinstance(token, str):
-            return cls.fixed(_integral("kstar_rule", real("kstar_rule", token, "a k* rule")))
+            return cls.fixed(real("kstar_rule", token, "a k* rule"))
         token = token.strip().lower()
         if token == "sqrtk":
             return cls.sqrt_k()
@@ -129,10 +128,10 @@ class SecondOrderSpec:
     """Where the (tau, beta) pair for bias correction comes from.
 
     mode 'per_replicate': estimated from each replicate's T sequence at
-    threshold k0 (default [n^0.999]), which no other mode takes.  mode
-    'oracle': tau defaults to the model's effective second-order parameter
-    and beta to 0, either overridable.  mode 'user': both values must be
-    given.
+    threshold k0 (default [n^0.999]); tau and beta are not taken, and k0
+    is taken by no other mode.  Modes 'oracle' and 'user' take the given
+    tau (> 0) and beta (0 if not given); 'user' needs both, and 'oracle'
+    defaults tau to the model's effective second-order parameter.
     """
 
     mode: str = "per_replicate"
@@ -153,26 +152,27 @@ class SecondOrderSpec:
         for name, value in (("tau", self.tau), ("beta", self.beta)):
             if value is not None and not math.isfinite(real(f"second-order {name}", value)):
                 raise ValueError(f"second-order {name} must be finite, got {value}")
+        if self.tau is not None and not self.tau > 0.0:
+            raise ValueError(f"second-order tau must be > 0, got {self.tau}")
+        given = [name for name in ("tau", "beta") if getattr(self, name) is not None]
+        if self.mode == "per_replicate" and given:
+            raise ValueError(f"second-order {given[0]} acts only in modes 'oracle' and 'user', "
+                             "not 'per_replicate'")
 
     def resolve(self, model: CopulaModel, pseudo: PseudoSample) -> SecondOrderParams:
         if self.mode == "per_replicate":
             return estimate_second_order(pseudo, self.k0)
-        if self.mode == "oracle":
-            if self.tau is not None:
-                tau = self.tau
-            else:
-                if model.true_eta is None or model.true_tau is None:
-                    raise ParameterDomainError(
-                        f"{model.family.value} theta={model.theta} has no ground truth; "
-                        "oracle second-order mode needs an explicit tau"
-                    )
-                tau = effective_tau(model.true_eta, model.true_tau) if model.true_tau > 0 \
-                    else model.true_eta
-            beta = 0.0 if self.beta is None else self.beta
-        else:
-            tau, beta = self.tau, self.beta
-        return SecondOrderParams(tau_hat=float(tau), beta_hat=float(beta), k0=0,
-                                 source=SecondOrderSource.USER_SUPPLIED)
+        tau = self.tau
+        if tau is None:  # mode 'oracle' without a given tau
+            if model.true_eta is None:
+                raise ParameterDomainError(
+                    f"{model.family.value} theta={model.theta} has no ground truth; "
+                    "oracle second-order mode needs an explicit tau"
+                )
+            tau = effective_tau(model.true_eta, model.true_tau) if model.true_tau > 0 \
+                else model.true_eta
+        beta = 0.0 if self.beta is None else self.beta
+        return SecondOrderParams(tau_hat=float(tau), beta_hat=float(beta), k0=0)
 
 
 @dataclass(frozen=True)

@@ -158,8 +158,13 @@ class TestSimulateCommand:
         ({"second_order": {"mode": "user", "tau": "0.3", "beta": 0}},
          "second-order tau '0.3' is not a number"),
         ({"kstar_rule": "abc"}, "kstar_rule 'abc' is not a k* rule"),
+        ({"second_order": {"mode": "user", "tau": -0.5, "beta": 0}},
+         "second-order tau must be > 0, got -0.5"),
+        ({"second_order": {"mode": "oracle", "tau": 0}}, "second-order tau must be > 0, got 0"),
+        ({"second_order": {"mode": "per_replicate", "tau": 0.5}},
+         "second-order tau acts only in modes 'oracle' and 'user', not 'per_replicate'"),
     ], ids=["no_model", "unknown_second_order_key", "n_string", "k_string", "tau_string",
-            "kstar_rule_string"])
+            "kstar_rule_string", "user_negative_tau", "oracle_zero_tau", "per_replicate_tau"])
     def test_config_key_and_type_errors_exit_4(self, tmp_path, capsys, update, message):
         config = {"model": {"family": "amh", "theta": 0.3}, "n": 100, "N": 3,
                   "q_grid": [1.0], "k_grid": [10], "master_seed": 3, **update}
@@ -402,6 +407,16 @@ class TestEstimateCommand:
         )
         assert code == 4 and out == ""
         assert f"second-order {name} must be finite" in err
+
+    @pytest.mark.parametrize("tau", ["0", "-0.5"])
+    def test_non_positive_user_tau_exit_4(self, uniform_csv, capsys, tau):
+        code, out, err = run_cli(
+            capsys, "estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+            "--dry", "0", "--quantile", "0", "--k-max", "0.01", "--q", "1",
+            "--reduce-bias", "--tau", tau, "--beta", "0",
+        )
+        assert code == 4 and out == ""
+        assert f"second-order tau must be > 0, got {float(tau)}" in err
 
     @pytest.mark.parametrize("token", ["pow-1", "pownan", "powinf", "pow1e400"])
     def test_bad_kstar_power_exit_2(self, uniform_csv, capsys, token):

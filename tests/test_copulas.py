@@ -39,8 +39,8 @@ class TestModelConstruction:
         assert m.true_eta is None and m.true_tau is None
 
     @pytest.mark.parametrize("family,theta", [
-        ("fgm", 1.5), ("fgm", -1.01), ("frank", 0.0), ("frank", -2.0),
-        ("amh", 1.2), ("gaussian", 1.0), ("gaussian", -1.0),
+        ("fgm", 1.5), ("fgm", -1.01), ("frank", 0.0), ("frank", -2.0), ("frank", 20.5),
+        ("frank", np.inf), ("amh", 1.2), ("gaussian", 1.0), ("gaussian", -1.0),
     ])
     def test_invalid_theta_rejected(self, family, theta):
         with pytest.raises(ParameterDomainError):
@@ -192,6 +192,20 @@ class TestSampler:
             u_draw, w = rng.random(5000), rng.random(5000)
             u, v = sample_copula(CopulaModel(family, theta), 5000, seed)
             assert u.tobytes() == u_draw.tobytes() and v.tobytes() == w.tobytes()
+
+    def test_frank_inverse_accurate_at_theta_bound(self):
+        # the sampler's conditional inverse against the same inverse in log space,
+        # v = -(log((1-w) e^(-theta u) + w e^(-theta)) - log((1-w) e^(-theta u) + w)) / theta,
+        # at the largest theta the model accepts
+        theta, n = 20.0, 200_000
+        rng = replicate_generator(2020)
+        u, w = rng.random(n), rng.random(n)
+        _, v = sample_copula(CopulaModel("frank", theta), n, 2020)
+        log_both = np.log1p(-w) - theta * u
+        exact = -(np.logaddexp(log_both, np.log(w) - theta)
+                  - np.logaddexp(log_both, np.log(w))) / theta
+        assert np.all((v > 0.0) & (v < 1.0))
+        assert np.max(np.abs(v - exact)) <= 1e-8
 
     def test_gaussian_correlation_recovered(self):
         u, v = sample_copula(CopulaModel("gaussian", 0.6), 100_000, 11)

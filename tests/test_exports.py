@@ -46,9 +46,11 @@ def test_public_definitions_are_listed(module):
 
 def test_removed_names_stay_removed():
     from residualdep import copulas, estimators, pseudo
-    for name in ("corrected_eta", "pareto_pseudo", "frechet_pseudo"):
+    for name in ("corrected_eta", "pareto_pseudo", "frechet_pseudo", "SecondOrderSource"):
         assert not hasattr(residualdep, name) and name not in residualdep.__all__, name
     assert not hasattr(copulas, "_as_generator")
+    assert [f.name for f in dataclasses.fields(residualdep.SecondOrderParams)] == \
+        ["tau_hat", "beta_hat", "k0"]
     spec_fields = {f.name for f in dataclasses.fields(estimators.EstimatorSpec)}
     assert "tag" not in spec_fields and not hasattr(estimators.EstimatorSpec, "is_hill")
     assert [f.name for f in dataclasses.fields(pseudo.PseudoSample)] == ["n", "rmin"]
@@ -57,3 +59,9 @@ def test_removed_names_stay_removed():
     for module, name in ((pseudo, "shift_half"), (estimators, "sorted_margin"),
                          (estimators, "_MARGIN_ATTR"), (estimators, "confidence_interval")):
         assert not hasattr(module, name) and not hasattr(residualdep, name), name
+
+
+def test_margin_defined_beside_its_transforms():
+    from residualdep import estimators, pseudo
+    assert residualdep.Margin is estimators.Margin is pseudo.Margin
+    assert pseudo.Margin.__module__ == "residualdep.pseudo" and "Margin" in pseudo.__all__

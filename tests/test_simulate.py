@@ -88,6 +88,30 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match=f"second-order {name} must be finite"):
             SecondOrderSpec(mode, **values)
 
+    @pytest.mark.parametrize("mode,values,message", [
+        ("user", {"tau": -0.5, "beta": 0}, "second-order tau must be > 0, got -0.5"),
+        ("oracle", {"tau": 0}, "second-order tau must be > 0, got 0"),
+        ("per_replicate", {"tau": 0.5}, "second-order tau acts only in modes 'oracle' and 'user'"),
+        ("per_replicate", {"beta": 3}, "second-order beta acts only in modes 'oracle' and 'user'"),
+    ], ids=["user_negative_tau", "oracle_zero_tau", "per_replicate_tau", "per_replicate_beta"])
+    def test_given_second_order_values_checked(self, mode, values, message):
+        with pytest.raises(ValueError, match=message):
+            SecondOrderSpec(mode, **values)
+        with pytest.raises(ValueError, match=message):
+            config_from_dict({"model": {"family": "frank", "theta": 1.0}, "n": 100,
+                              "k_grid": [10], "second_order": {"mode": mode, **values}})
+
+    def test_oracle_and_user_resolve_alike(self):
+        # given values pass through either mode; oracle fills in only what is not given
+        given = SecondOrderParams(0.4, -0.2, k0=0)
+        for mode in ("oracle", "user"):
+            assert SecondOrderSpec(mode, 0.4, -0.2).resolve(None, None) == given
+        model = CopulaModel("amh", -1.0)  # effective tau min(2/3, 1/3)
+        assert SecondOrderSpec("oracle").resolve(model, None) == SecondOrderParams(1 / 3, 0.0, 0)
+        assert SecondOrderSpec("oracle", beta=-0.2).resolve(model, None).beta_hat == -0.2
+        gaussian = CopulaModel("gaussian", 0.2)  # tau 0: the effective tau is eta
+        assert SecondOrderSpec("oracle").resolve(gaussian, None).tau_hat == 0.6
+
     def test_config_file_round_trip(self, tmp_path):
         doc = {
             "model": {"family": "amh", "theta": -1.0},
@@ -133,6 +157,13 @@ class TestStudyConfig:
                                  "k_grid": [10], "kstar_rule": 3.0}).kstar_rule
         assert rule == KstarRule.fixed(3) == KstarRule.parse("3")
         assert rule.token() == "3"
+
+    @pytest.mark.parametrize("count,message", [(2.5, "kstar_rule 2.5 is not an integer"),
+                                               (True, "kstar_rule True is not an integer")])
+    def test_fixed_kstar_count_must_be_integral(self, count, message):
+        with pytest.raises(ValueError, match=message):
+            KstarRule.fixed(count)
+        assert KstarRule.fixed(3.0) == KstarRule.fixed(3)
 
     @pytest.mark.parametrize("key,value", [("n", 100.9), ("N", 2.5), ("master_seed", 7.5),
                                            ("n", math.inf)])
