@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConstraintError, DataError, EstimationError, NumericDomainError, \
     ParameterDomainError
-from .estimators import EtaEstimate, m_ab_path, uncertainty
+from .estimators import EtaEstimate, _bias_factor, m_ab_path, uncertainty
 from .pseudo import Margin, PseudoSample
 
 # Not called here (the reduced-bias estimate reaches the kernel through
@@ -47,6 +47,11 @@ class SecondOrderParams:
     def __post_init__(self):
         if not self.tau_hat > 0.0:
             raise NumericDomainError(f"tau_hat must be positive, got {self.tau_hat}")
+        if not math.isfinite(self.beta_hat):
+            raise NumericDomainError(f"beta_hat must be finite, got {self.beta_hat}")
+        if not (self.k0 == 0 or self.k0 >= 2):
+            raise NumericDomainError(
+                f"k0 must be 0 (given values) or >= 2 (an estimate), got {self.k0}")
 
 
 def effective_tau(eta: float, tau: float) -> float:
@@ -148,9 +153,7 @@ def _beta_companion(log_t: np.ndarray, n: int, k0: int, tau: float) -> float:
 
 def _corrected(eta_s, a, tau: float, beta_term, v_kstar):
     # the correction, elementwise; NaN where eta_s is NaN or 1 - a*eta_s + tau <= 0
-    denom = 1.0 - a * eta_s + tau
-    denom = np.where(denom > 0.0, denom, np.nan)
-    correction = (beta_term + 1.0 / (1.0 + 2.0 * v_kstar)) * (1.0 - a * eta_s) / denom
+    correction = _bias_factor(a, eta_s, tau, beta_term + 1.0 / (1.0 + 2.0 * v_kstar))
     return eta_s * (1.0 - correction)
 
 

@@ -132,15 +132,15 @@ def cmd_estimate(args) -> int:
         so = SecondOrderSpec(mode, args.tau, args.beta, args.k0).resolve(None, pseudo)
     etas = evaluate_cells(pseudo, grid, so)
     _, lows, highs = uncertainty(etas, grid.ks, grid.a[:, None], args.level)
-    rows = np.stack([etas, lows, highs], axis=-1).tolist()  # (eta, low, high) per path and k
     k_fields = [f"{k},{k / n:g}" for k in grid.ks.tolist()]  # every path shares the grid's k
     with _out_stream(args.out) as stream:
         stream.write("q,k,k_over_n,eta,ci_low,ci_high,margin,reduced\n")
-        for estimator, margin, q, path in zip(grid.estimator.tolist(), grid.margin.tolist(),
-                                              grid.q.tolist(), rows):
+        for estimator, margin, q, *path in zip(grid.estimator.tolist(), grid.margin.tolist(),
+                                               grid.q.tolist(), etas, lows, highs):
             q, end = f"{q:g}", f",{margin},{str(estimator == 'reduced').lower()}\n"
+            path = [column.tolist() for column in path]  # Python floats of this path only
             stream.write("".join(f"{q},{kn},{_fmt(eta)},{_fmt(low)},{_fmt(high)}{end}"
-                                 for kn, (eta, low, high) in zip(k_fields, path)))
+                                 for kn, eta, low, high in zip(k_fields, *path)))
     failed = int(np.isnan(etas).sum())
     if failed:
         print(f"warning: {failed} of {etas.size} cells hit a domain error; "

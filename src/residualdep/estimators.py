@@ -171,6 +171,14 @@ def asymptotic_variance(a: float, eta: float) -> float:
     return float(_sigma2(a, eta))
 
 
+def _bias_factor(a, eta, tau, scale=1.0):
+    # scale * b_a(eta, tau), elementwise, as (scale * (1 - a eta)) / (1 - a eta + tau) in
+    # that order; NaN where eta is NaN or 1 - a eta + tau <= 0
+    numerator = 1.0 - a * eta
+    denom = numerator + tau
+    return scale * numerator / np.where(denom > 0.0, denom, np.nan)
+
+
 def asymptotic_bias(a: float, eta: float, tau: float) -> float:
     """Dominant bias factor b_a(eta, tau) = (1 - a eta) / (1 - a eta + tau)."""
     denom = 1.0 - a * eta + tau
@@ -178,7 +186,7 @@ def asymptotic_bias(a: float, eta: float, tau: float) -> float:
         raise NumericDomainError(
             f"1 - a*eta + tau = {denom:.6g} <= 0: bias factor undefined"
         )
-    return (1.0 - a * eta) / denom
+    return float(_bias_factor(a, eta, tau))
 
 
 # Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical Functions, 1989), the

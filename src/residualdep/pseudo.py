@@ -12,7 +12,6 @@ transforms of either margin; their upper order statistics feed the estimators.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,8 +27,6 @@ __all__ = [
     "compute_ranks",
     "joint_exceedance_count",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class Margin(str, Enum):
@@ -107,7 +104,8 @@ def compute_ranks(sample: BivariateSample, tie_policy=TiePolicy.FIRST_OCCURRENCE
     rng = None
     if policy is TiePolicy.JITTER:
         rng = np.random.default_rng(jitter_seed)
-        logger.info("jitter tie policy active, seed=%d", jitter_seed)
+        import logging  # only this branch logs
+        logging.getLogger(__name__).info("jitter tie policy active, seed=%d", jitter_seed)
     rx = _rank_one_margin(sample.x, policy, rng, "x")
     ry = _rank_one_margin(sample.y, policy, rng, "y")
     return rx, ry

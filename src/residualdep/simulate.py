@@ -450,23 +450,27 @@ class SimulationReport:
     stats: np.ndarray  # (4, paths, k)
     n_ok: np.ndarray  # (paths, k)
 
-    def _paths(self, k_fields):
-        """Per path in row order: its head fields (estimator..b), its k fields, made by
-        ``k_fields(ks, k_over_n, kstars)`` once for all raw and once for all reduced-bias
-        paths, and its statistic columns (mean..mse, n_ok, n_fail), as Python values."""
+    def _paths(self, k_fields, paths=None):
+        """Per path in row order, or per path of the ascending indices ``paths``: its
+        head fields (estimator..b), its k fields, made by ``k_fields(ks, k_over_n,
+        kstars)`` once for all raw and once for all reduced-bias paths, and its statistic
+        columns (mean..mse, n_ok, n_fail), as Python values.  Only one path's statistics
+        are Python objects at a time."""
         grid = self.grid
         ks, k_over_n = grid.ks.tolist(), (grid.ks / self.config.n).tolist()
         shared = {"raw": k_fields(ks, k_over_n, [None] * len(ks))}
         if grid.kstars is not None:
             shared["reduced"] = k_fields(ks, k_over_n, grid.kstars.tolist())
-        heads = zip(*(column.tolist() for column in grid[:5]))  # estimator, margin, q, a, b
-        stats = zip(*self.stats.tolist(), self.n_ok.tolist(), (self.config.N - self.n_ok).tolist())
-        for head, columns in zip(heads, stats):
-            yield head, shared[head[0]], columns
+        heads = list(zip(*(column.tolist() for column in grid[:5])))  # estimator..b
+        for p in range(len(heads)) if paths is None else paths:
+            n_ok = self.n_ok[p]
+            yield heads[p], shared[heads[p][0]], (*self.stats[:, p].tolist(), n_ok.tolist(),
+                                                  (self.config.N - n_ok).tolist())
 
-    def rows(self):
-        """Each cell's CSV fields as Python values, in row order."""
-        for head, k_columns, stats in self._paths(lambda *k_columns: k_columns):
+    def rows(self, paths=None):
+        """Each cell's CSV fields as Python values, in row order; only the cells of the
+        ascending path indices ``paths`` if given."""
+        for head, k_columns, stats in self._paths(lambda *k_columns: k_columns, paths):
             yield from zip(*map(repeat, head), *k_columns, *stats)
 
     @cached_property
@@ -478,9 +482,9 @@ class SimulationReport:
     def flagged(self) -> tuple:
         """Cells where more than 10% of replicates failed."""
         failed = (self.config.N - self.n_ok) / self.config.N > 0.1
-        if not failed.any():  # spares the walk over every row
-            return ()
-        return tuple(starmap(CellResult, compress(self.rows(), failed.ravel().tolist())))
+        paths = np.flatnonzero(failed.any(axis=1)).tolist()  # only these are walked
+        rows = compress(self.rows(paths), failed[paths].ravel().tolist())
+        return tuple(starmap(CellResult, rows))
 
     def cell(self, estimator: str, margin, q: float, k: int) -> CellResult:
         key = (estimator, Margin(margin).value, q, k)

@@ -46,6 +46,14 @@ class TestSecondOrderParams:
         with pytest.raises(NumericDomainError):
             SecondOrderParams(tau_hat=0.0, beta_hat=0.1, k0=10)
 
+    @pytest.mark.parametrize("beta,k0", [(math.nan, 10), (math.inf, 0), (-math.inf, 10),
+                                         (0.1, 1), (0.1, -1)])
+    def test_unusable_beta_or_k0_rejected(self, beta, k0):
+        # a NaN beta makes every reduced-bias estimate NaN; k0 is 0 (given) or >= 2 (estimated)
+        with pytest.raises(NumericDomainError, match="beta_hat|k0"):
+            SecondOrderParams(tau_hat=0.5, beta_hat=beta, k0=k0)
+        assert SecondOrderParams(0.5, 0.1, 2).k0 == 2
+
     def test_default_k0_rule(self):
         assert default_k0(500) == 496
         assert default_k0(5000) == 4957

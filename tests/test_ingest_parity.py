@@ -173,6 +173,7 @@ def test_edge_case_rows_parse_as_dictreader(tmp_path):
     spec = IngestionSpec(path=str(path), x_col="b", y_col="a", date_col="date")
     x, y, labels = ingest_module._parse_rows(spec)[:3]
     rx, ry, rlabels = dictreader_parse_rows(spec)
+    labels = list(map(date.fromordinal, labels))
     assert (x.tobytes(), y.tobytes(), labels) == (rx.tobytes(), ry.tobytes(), rlabels)
     assert y.tolist() == [2.5, 3.5, 4.5, 7.5, 8.5]
 

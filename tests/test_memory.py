@@ -1,0 +1,86 @@
+"""Peak memory that does not grow with the input.
+
+``ingest`` keeps each parsed row as 20 bytes of typed columns, not as Python
+floats and dates, and ``write_report`` turns one path of the report into
+Python objects at a time, not the whole (4, paths, k) statistics table.  The
+guards measure the Python heap with ``tracemalloc``, which counts the bytes
+each allocation asks for, so the figures repeat from run to run.
+"""
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
+
+import pytest
+
+from residualdep import IngestionSpec, config_from_dict, ingest, run_study
+from residualdep.simulate import write_report
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import inputs as bench_inputs  # noqa: E402
+
+# Ingestion stores 8 + 8 bytes of float64 (x, y) and 4 bytes of int32 date ordinal per
+# row.  ``array`` over-allocates by at most 1/16 of its length, which makes 21.25 bytes.
+# The filters then hold at most 18 bytes per row more: the wet-row copy that the
+# quantile sorts and its sorted copy (8 + 8) and two boolean masks.  The file buffer and
+# one live ``csv`` row are a constant below 1 byte per row at 20,000 rows.  So the peak
+# is at most about 41 bytes per row; the bound is 3 x 20 = 60.  Python floats and
+# dates for every row, as the lists the parse kept before, take about 109.
+INGEST_BYTES_PER_ROW = 3 * (8 + 8 + 4)
+
+# One path of the default grid has 150 rows.  Per row it holds four float statistics
+# (24 bytes each) and six list slots (8 bytes each), and its CSV line (under 200
+# characters, a str of 49 bytes of header plus one per character) twice: in the list
+# that the path's join reads and in the joined text.  That makes
+# 150 * (4 * 24 + 6 * 8 + 2 * (49 + 200)) = 96,300 bytes for one path.  The k fields
+# that every path shares, the file buffer (8 KB) and the working memory of the
+# interpreter come to less than that again, so the bound is four paths' worth.  The
+# whole table as Python floats, 4 * 11,400 of them at 32 bytes with their list slots,
+# needs 1.46 MB on its own.
+ONE_PATH_BYTES = 150 * (4 * 24 + 6 * 8 + 2 * (49 + 200))
+REPORT_PEAK_BYTES = 4 * ONE_PATH_BYTES
+
+
+def _peak(call):
+    call()  # warm caches and lazy imports outside the measurement
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("seed", [3, 29])
+def test_ingest_peak_per_row_read(tmp_path, seed):
+    path = tmp_path / "stations.csv"
+    path.write_text("\n".join(bench_inputs.station_rows(seed)) + "\n")
+    spec = IngestionSpec(path=str(path), x_col="accra", y_col="tema", date_col="date")
+    peak = _peak(lambda: ingest(spec))
+    assert peak / bench_inputs.N_DAYS < INGEST_BYTES_PER_ROW, peak
+
+
+def test_report_peak_is_a_few_paths(tmp_path):
+    config = config_from_dict({
+        "model": {"family": "frank", "theta": 0.5}, "n": 500, "N": 2, "master_seed": 11,
+        "margins": ["pareto_t", "frechet_shifted", "frechet_unshifted"]})
+    report = run_study(config)
+    assert report.n_ok.shape == (76, 150)  # the default 11,400-cell grid
+    out = tmp_path / "cells.csv"
+    peak = _peak(lambda: write_report(report, out))
+    assert max(map(len, out.read_text().splitlines())) < 200
+    assert peak < REPORT_PEAK_BYTES, peak
+
+
+def test_package_import_loads_no_logging():
+    # only the jitter tie policy logs, and it imports logging when it runs
+    script = ("import sys, numpy; before = 'logging' in sys.modules; import residualdep.cli; "
+              "assert ('logging' in sys.modules) == before, 'logging imported'")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
