@@ -22,7 +22,7 @@ a = 1.0 - 1.0 / q
 # oracle ones, the model's effective tau with no Hall-Welsh amplitude (beta = 0)
 so = SecondOrderSpec("oracle").resolve(model, None)
 spec = EstimatorSpec.from_ab(a, -a, Margin.FRECHET_SHIFTED)
-kstar_rule = KstarRule.pow_n()  # k* = max([n^0.3], 10), capped at sqrt(k)
+kstar_rule = KstarRule()  # k* = max([n^0.3], 10), capped at sqrt(k)
 
 ks = np.arange(15, 76, 5)
 raw_mean = np.zeros(len(ks))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintError, DataError, EstimationError, NumericDomainError, \
-    ParameterDomainError
+    ParameterDomainError, integral
 from .estimators import EtaEstimate, _bias_factor, m_ab_path, uncertainty
 from .pseudo import Margin, PseudoSample
 
@@ -45,10 +45,11 @@ class SecondOrderParams:
     k0: int  # 0 for given values, else the count of top order statistics estimated on
 
     def __post_init__(self):
-        if not self.tau_hat > 0.0:
-            raise NumericDomainError(f"tau_hat must be positive, got {self.tau_hat}")
+        if not 0.0 < self.tau_hat < math.inf:  # an infinite tau makes the correction a no-op
+            raise NumericDomainError(f"tau_hat must be finite and positive, got {self.tau_hat}")
         if not math.isfinite(self.beta_hat):
             raise NumericDomainError(f"beta_hat must be finite, got {self.beta_hat}")
+        object.__setattr__(self, "k0", integral("k0", self.k0))
         if not (self.k0 == 0 or self.k0 >= 2):
             raise NumericDomainError(
                 f"k0 must be 0 (given values) or >= 2 (an estimate), got {self.k0}")

@@ -23,7 +23,7 @@ from .bias import estimate_second_order
 from .copulas import replicate_generator
 from .errors import DataError, ResidualDepError
 from .estimators import m_ab, uncertainty
-from .ingest import IngestionSpec, ingest
+from .ingest import DEFAULT_NA_TOKENS, IngestionSpec, ingest
 from .pseudo import BivariateSample, Margin, PseudoSample, TiePolicy, joint_exceedance_count
 from .simulate import KstarRule, SecondOrderSpec, cell_grid, evaluate_cells, load_config, \
     run_study, write_report
@@ -38,18 +38,13 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def positive_int(token: str) -> int:
-    value = int(token)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def non_negative_int(token: str) -> int:
-    value = int(token)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def at_least(least: int):
+    """An argparse type: an integer >= ``least``."""
+    def integer(token: str) -> int:
+        if (value := int(token)) < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return integer
 
 
 def oracle_n(token: str) -> int:
@@ -79,21 +74,18 @@ def _add_ingestion_flags(parser):
     parser.add_argument("--either", action="store_true",
                         help="retain rows where either margin exceeds its quantile "
                              "(default: both must exceed)")
-    parser.add_argument("--na", default=None,
+    parser.add_argument("--na", type=lambda token: tuple(token.split(",")),
+                        default=DEFAULT_NA_TOKENS,
                         help="comma-separated NA tokens overriding the default set")
     parser.add_argument("--ties", default="first_occurrence",
                         choices=[p.value for p in TiePolicy], help="tie policy for ranks")
 
 
 def _ingest_from_args(args) -> tuple[BivariateSample, PseudoSample]:
-    kwargs = {}
-    if args.na is not None:
-        kwargs["na_tokens"] = tuple(args.na.split(","))
     spec = IngestionSpec(
         path=args.data, x_col=args.x, y_col=args.y, date_col=args.date_col,
-        dry_threshold=args.dry, quantile_filter=args.quantile, month=args.month,
-        date_from=args.date_from, date_to=args.date_to,
-        either=args.either, **kwargs,
+        na_tokens=args.na, dry_threshold=args.dry, quantile_filter=args.quantile,
+        month=args.month, date_from=args.date_from, date_to=args.date_to, either=args.either,
     )
     sample = ingest(spec)
     return sample, PseudoSample.from_sample(sample, TiePolicy(args.ties))
@@ -125,7 +117,7 @@ def cmd_estimate(args) -> int:
     q_grid = sorted({*args.q, 1.0})  # Hill is always reported
     k_max = max(1, int(n * args.k_max))  # k_max < n, since main checks --k-max < 1
     grid = cell_grid([Margin(args.margin)], q_grid, range(1, k_max + 1),
-                     args.kstar or KstarRule.pow_n(), n, args.reduce_bias)
+                     args.kstar or KstarRule(), n, args.reduce_bias)
     so = None
     if args.reduce_bias:
         mode = "per_replicate" if args.tau is None and args.beta is None else "user"
@@ -214,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON study config")
     p.add_argument("--out", required=True, help="output path for the cell table")
     p.add_argument("--seed", type=int, default=None, help="override the config master seed")
-    p.add_argument("--workers", type=positive_int, default=1,
+    p.add_argument("--workers", type=at_least(1), default=1,
                    help="worker processes (default 1)")
     p.add_argument("--format", default="csv", choices=["csv", "jsonl"])
     p.set_defaults(func=cmd_simulate)
@@ -246,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact identity checks on a random sample")
     p.add_argument("--n", type=oracle_n, required=True)
-    p.add_argument("--seed", type=non_negative_int, required=True)
+    p.add_argument("--seed", type=at_least(0), required=True)
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the check that a value is a number.
+"""Exception types shared across the package, and the checks on numbers and integers.
 
 The CLI maps these onto process exit codes: data problems exit with 3,
 numeric-domain problems with 4 (usage errors exit with 2 via argparse).
@@ -43,3 +43,12 @@ def real(name: str, value, what: str = "a number"):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} {value!r} is not {what}")
     return value
+
+
+def integral(name: str, value) -> int:
+    """``value`` as an int; a float must be integral (25.0 passes, 2.5 does not), and a
+    boolean or a string is not a number."""
+    if not isinstance(real(name, value, "an integer"), numbers.Integral) \
+            and not float(value).is_integer():
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)

@@ -16,7 +16,6 @@ import bisect
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cached_property, partial
 from itertools import compress, repeat, starmap
@@ -27,7 +26,7 @@ import numpy as np
 
 from .bias import SecondOrderParams, effective_tau, estimate_second_order, reduced_bias_path
 from .copulas import CopulaModel, replicate_generator, sample_copula
-from .errors import ParameterDomainError, ResidualDepError, real
+from .errors import ParameterDomainError, ResidualDepError, integral, real
 from .estimators import EstimatorSpec, m_ab_path
 from .pseudo import BivariateSample, Margin, PseudoSample
 
@@ -59,34 +58,29 @@ DEFAULT_Q_GRID = tuple(round(0.1 * i, 1) for i in range(1, 20))
 
 @dataclass(frozen=True)
 class KstarRule:
-    """How the auxiliary order-statistic count k* is chosen per cell.
-
-    Whatever the rule yields is capped at isqrt(k) cell by cell, keeping
-    every cell inside the k* <= sqrt(k) validity region of the correction.
+    """How the auxiliary order-statistic count k* is chosen per cell: ``pow_n`` takes
+    max([n^value], 10) for a finite power value > 0, ``sqrt_k`` takes isqrt(k) and no
+    value (it is stored as 0), ``fixed`` takes the integer count value >= 1.  Whatever
+    the rule yields is capped at isqrt(k) cell by cell, keeping every cell inside the
+    k* <= sqrt(k) validity region of the correction.
     """
 
-    kind: str  # "pow_n" | "sqrt_k" | "fixed"
+    kind: str = "pow_n"  # "pow_n" | "sqrt_k" | "fixed"
     value: float = 0.3
 
-    @classmethod
-    def pow_n(cls, power: float | str = 0.3) -> "KstarRule":
-        try:
-            value = float(power)
-        except ValueError:
-            raise ValueError(f"kstar_rule 'pow{power}' is not a k* rule") from None
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"k* rule 'pow{power}' needs a finite power > 0")
-        return cls(kind="pow_n", value=value)
-
-    @classmethod
-    def sqrt_k(cls) -> "KstarRule":
-        return cls(kind="sqrt_k", value=0.0)
-
-    @classmethod
-    def fixed(cls, count: int) -> "KstarRule":
-        if (count := _integral("kstar_rule", count)) < 1:
-            raise ValueError(f"fixed k* must be >= 1, got {count}")
-        return cls(kind="fixed", value=count)
+    def __post_init__(self):
+        if self.kind == "pow_n":
+            value = float(real("kstar_rule", self.value, "a power"))
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"k* rule 'pow{value:g}' needs a finite power > 0")
+        elif self.kind == "fixed":
+            if (value := integral("kstar_rule", self.value)) < 1:
+                raise ValueError(f"fixed k* must be >= 1, got {value}")
+        elif self.kind == "sqrt_k":
+            value = 0.0
+        else:
+            raise ValueError(f"unknown k* rule kind {self.kind!r}")
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def parse(cls, token) -> "KstarRule":
@@ -94,17 +88,21 @@ class KstarRule:
         if isinstance(token, KstarRule):
             return token
         if not isinstance(token, str):
-            return cls.fixed(real("kstar_rule", token, "a k* rule"))
+            return cls("fixed", real("kstar_rule", token, "a k* rule"))
         token = token.strip().lower()
         if token == "sqrtk":
-            return cls.sqrt_k()
-        if token.startswith("pow"):
-            return cls.pow_n(token[3:])
+            return cls("sqrt_k")
+        power = token.startswith("pow")
         try:
-            count = int(token)
+            value = float(token[3:]) if power else int(token)
         except ValueError:
             raise ValueError(f"kstar_rule {token!r} is not a k* rule") from None
-        return cls.fixed(count)
+        if not power:
+            return cls("fixed", value)
+        try:
+            return cls("pow_n", value)
+        except ValueError:  # named by its token: 'pow1e400' reads as inf once parsed
+            raise ValueError(f"k* rule {token!r} needs a finite power > 0") from None
 
     def token(self) -> str:
         if self.kind == "sqrt_k":
@@ -148,7 +146,7 @@ class SecondOrderSpec:
             raise ValueError(f"second-order k0 acts only in mode 'per_replicate', "
                              f"not {self.mode!r}")
         if self.k0 is not None:
-            object.__setattr__(self, "k0", _integral("second-order k0", self.k0))
+            object.__setattr__(self, "k0", integral("second-order k0", self.k0))
         for name, value in (("tau", self.tau), ("beta", self.beta)):
             if value is not None and not math.isfinite(real(f"second-order {name}", value)):
                 raise ValueError(f"second-order {name} must be finite, got {value}")
@@ -196,13 +194,13 @@ class StudyConfig:
     q_grid: tuple = DEFAULT_Q_GRID
     k_grid: tuple | None = None
     margins: tuple = ALL_MARGINS
-    kstar_rule: KstarRule = field(default_factory=lambda: KstarRule.pow_n(0.3))
+    kstar_rule: KstarRule = KstarRule()
     master_seed: int = 0
     second_order: SecondOrderSpec = field(default_factory=SecondOrderSpec)
 
     def __post_init__(self):
         for name, least in (("n", 2), ("N", 1), ("master_seed", 0)):
-            object.__setattr__(self, name, value := _integral(name, getattr(self, name)))
+            object.__setattr__(self, name, value := integral(name, getattr(self, name)))
             if value < least:
                 raise ValueError(f"need {name} >= {least}, got {value}")
         if any(isinstance(q, bool) for q in _listed("q_grid", self.q_grid)):
@@ -231,7 +229,7 @@ class StudyConfig:
         ks = []
         for entry in _listed("k_grid", raw):
             real("k_grid entry", entry, "an integer")
-            k = int(self.n * entry) if 0 < entry < 1 else _integral("k_grid entry", entry)
+            k = int(self.n * entry) if 0 < entry < 1 else integral("k_grid entry", entry)
             if not 1 <= k < self.n:
                 raise ValueError(f"k_grid entry {entry!r} resolves to k={k}, need 1 <= k < n")
             ks.append(k)
@@ -260,15 +258,6 @@ def _listed(name: str, value):
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{name} must be a list, got {value!r}")
     return value
-
-
-def _integral(name: str, value) -> int:
-    """``value`` as an int; a float must be integral (25.0 passes, 2.5 does not), and a
-    boolean or a string is not a number."""
-    if not isinstance(real(name, value, "an integer"), numbers.Integral) \
-            and not float(value).is_integer():
-        raise ValueError(f"{name} {value!r} is not an integer")
-    return int(value)
 
 
 def _init_kwargs(cls, d: dict, where: str) -> dict:

@@ -46,13 +46,18 @@ class TestSecondOrderParams:
         with pytest.raises(NumericDomainError):
             SecondOrderParams(tau_hat=0.0, beta_hat=0.1, k0=10)
 
-    @pytest.mark.parametrize("beta,k0", [(math.nan, 10), (math.inf, 0), (-math.inf, 10),
-                                         (0.1, 1), (0.1, -1)])
-    def test_unusable_beta_or_k0_rejected(self, beta, k0):
-        # a NaN beta makes every reduced-bias estimate NaN; k0 is 0 (given) or >= 2 (estimated)
-        with pytest.raises(NumericDomainError, match="beta_hat|k0"):
-            SecondOrderParams(tau_hat=0.5, beta_hat=beta, k0=k0)
+    @pytest.mark.parametrize("tau,beta,k0", [
+        (0.5, math.nan, 10), (0.5, math.inf, 0), (0.5, -math.inf, 10), (0.5, 0.1, 1),
+        (0.5, 0.1, -1), (math.inf, 0.1, 10), (-math.inf, 0.1, 0),
+    ], ids=["nan-10", "inf-0", "-inf-10", "0.1-1", "0.1--1", "tau_inf", "tau_-inf"])
+    def test_unusable_beta_or_k0_rejected(self, tau, beta, k0):
+        # a NaN beta makes every reduced-bias estimate NaN and an infinite tau makes the
+        # correction a no-op; k0 is 0 (given) or an integer >= 2 (estimated)
+        with pytest.raises(NumericDomainError, match="tau_hat|beta_hat|k0"):
+            SecondOrderParams(tau_hat=tau, beta_hat=beta, k0=k0)
         assert SecondOrderParams(0.5, 0.1, 2).k0 == 2
+        with pytest.raises(ValueError, match="k0 2.5 is not an integer"):
+            SecondOrderParams(0.5, 0.1, 2.5)
 
     def test_default_k0_rule(self):
         assert default_k0(500) == 496

@@ -190,6 +190,14 @@ class TestSimulateCommand:
         assert f"--workers: must be >= 1, got {workers}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unwritable_out_exit_3(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {"family": "frank", "theta": 0.5}, "n": 100,
+                                        "N": 2, "q_grid": [1.0], "k_grid": [10]}))
+        out = tmp_path / "missing" / "cells.csv"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path), "--out", str(out))
+        assert code == 3 and f"cannot write report to {out}" in err
+
 
 class TestEstimateCommand:
     def test_comonotone_eta_near_one(self, tmp_path, capsys):
@@ -476,7 +484,7 @@ class TestEstimateCommand:
             q, k = float(row["q"]), int(row["k"])
             spec = EstimatorSpec.conjugate(q, row["margin"])
             if row["reduced"] == "true":
-                kstar = KstarRule.pow_n().resolve(pseudo.n, k)
+                kstar = KstarRule().resolve(pseudo.n, k)
                 want = reduced_bias_eta(pseudo, k, kstar, spec.a, so, 0.9)
             else:
                 want = point_estimate(pseudo, k, spec, 0.9)
@@ -498,6 +506,33 @@ class TestEstimateCommand:
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--data"])
         assert exc.value.code == 2
+
+    def test_unwritable_out_exit_3(self, uniform_csv, tmp_path, capsys):
+        out = tmp_path / "missing" / "eta.csv"
+        code, stdout, err = run_cli(
+            capsys, "estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
+            "--dry", "0", "--quantile", "0", "--q", "1", "--k-max", "0.01", "--out", str(out),
+        )
+        assert code == 3 and stdout == "" and str(out) in err
+
+    def test_na_tokens_drop_their_rows(self, tmp_path, capsys):
+        # --na replaces the NA set: rows holding -999 go as NA, not as dry, and the
+        # estimate is the one of the file without them
+        rng = np.random.default_rng(7)
+        clean = write_pairs(tmp_path / "clean.csv", rng.random(100), rng.random(100))
+        rows = pathlib.Path(clean).read_text().splitlines()
+        marked = tmp_path / "marked.csv"
+        marked.write_text("\n".join(rows[:50] + ["-999,0.5", "0.5,-999"] * 10 + rows[50:]) + "\n")
+        args = ("estimate", "--x", "a", "--y", "b", "--dry", "0", "--q", "1", "--k-max", "0.2")
+        code, out, err = run_cli(capsys, *args, "--quantile", "0", "--data", str(marked),
+                                 "--na", "-999")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *args, "--quantile", "0", "--data", clean)[1]
+        code, _, err = run_cli(capsys, *args, "--quantile", "0.5", "--data", str(marked),
+                               "--na", "-999")
+        assert code == 3 and "Read 120 rows, dropped 20 NA/NaN, 0 by date, 0 dry" in err
+        code, _, err = run_cli(capsys, *args, "--quantile", "0.5", "--data", str(marked))
+        assert code == 3 and "Read 120 rows, dropped 0 NA/NaN, 0 by date, 20 dry" in err
 
 
 class TestSecondOrderCommand:

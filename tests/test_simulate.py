@@ -80,6 +80,39 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="needs a finite power > 0"):
             small_config(kstar_rule=token)
 
+    @pytest.mark.parametrize("kind,value,token,message", [
+        ("bogus", 7, None, r"unknown k\* rule kind 'bogus'"),
+        ("pow_n", -1.0, "pow-1", r"k\* rule 'pow-1' needs a finite power > 0"),
+        ("fixed", 0, "0", r"fixed k\* must be >= 1, got 0"),
+        ("pow_n", True, None, "kstar_rule True is not a power"),
+        ("pow_n", "0.3", None, "kstar_rule '0.3' is not a power"),
+    ], ids=["kind", "power", "count", "boolean", "string"])
+    def test_kstar_rule_checks_itself(self, kind, value, token, message):
+        # built directly, a rule gets the checks parse makes, and the message parse gives
+        with pytest.raises(ValueError, match=message):
+            KstarRule(kind, value)
+        if token is not None:
+            with pytest.raises(ValueError, match=message):
+                KstarRule.parse(token)
+
+    def test_kstar_rule_has_one_representation(self):
+        default = StudyConfig(CopulaModel("frank", 0.5)).kstar_rule
+        assert KstarRule() == KstarRule.parse("pow0.3") == default
+        assert KstarRule("sqrt_k") == KstarRule.parse("sqrtk")
+        assert KstarRule("fixed", 3.0) == KstarRule.parse(3) == KstarRule.parse("3")
+        rules = (KstarRule(), KstarRule("sqrt_k"), KstarRule("fixed", 3.0))
+        assert [rule.token() for rule in rules] == ["pow0.3", "sqrtk", "3"]
+        for name in ("pow_n", "sqrt_k", "fixed"):
+            assert not hasattr(KstarRule, name), name
+
+    def test_unknown_second_order_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown second-order mode 'bogus'"):
+            SecondOrderSpec("bogus")
+        doc = {"model": {"family": "frank", "theta": 1.0}, "n": 100, "k_grid": [10],
+               "second_order": "bogus"}
+        with pytest.raises(ValueError, match="unknown second-order mode 'bogus'"):
+            config_from_dict(doc)
+
     @pytest.mark.parametrize("mode", ["per_replicate", "oracle", "user"])
     @pytest.mark.parametrize("name", ["tau", "beta"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -155,15 +188,15 @@ class TestStudyConfig:
     def test_integral_float_kstar_rule_is_fixed(self):
         rule = config_from_dict({"model": {"family": "frank", "theta": 1.0}, "n": 100,
                                  "k_grid": [10], "kstar_rule": 3.0}).kstar_rule
-        assert rule == KstarRule.fixed(3) == KstarRule.parse("3")
+        assert rule == KstarRule("fixed", 3) == KstarRule.parse("3")
         assert rule.token() == "3"
 
     @pytest.mark.parametrize("count,message", [(2.5, "kstar_rule 2.5 is not an integer"),
                                                (True, "kstar_rule True is not an integer")])
     def test_fixed_kstar_count_must_be_integral(self, count, message):
         with pytest.raises(ValueError, match=message):
-            KstarRule.fixed(count)
-        assert KstarRule.fixed(3.0) == KstarRule.fixed(3)
+            KstarRule("fixed", count)
+        assert KstarRule("fixed", 3.0) == KstarRule("fixed", 3)
 
     @pytest.mark.parametrize("key,value", [("n", 100.9), ("N", 2.5), ("master_seed", 7.5),
                                            ("n", math.inf)])
@@ -436,7 +469,7 @@ class TestRunStudy:
         from residualdep.bias import reduced_bias_path
         from residualdep.estimators import m_ab_path
         from residualdep.simulate import ALL_MARGINS, cell_grid, evaluate_cells
-        grid = cell_grid(ALL_MARGINS, (1e-6, 1e-3, 0.5, 1.0, 1.5), k_grid, KstarRule.pow_n(),
+        grid = cell_grid(ALL_MARGINS, (1e-6, 1e-3, 0.5, 1.0, 1.5), k_grid, KstarRule(),
                          120, reduced)
         assert [len(column) for column in grid[:5]] == [20 if reduced else 15] * 5
         assert (grid.kstars is None) == (not reduced)
