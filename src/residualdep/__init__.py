@@ -6,67 +6,21 @@ Frechet scales, the power-mean estimator class with its asymptotic
 variance/bias formulas and confidence intervals, a reduced-bias variant
 driven by second-order parameter estimates, a reproducible Monte Carlo
 harness, and CSV ingestion for applied analyses.
+
+Each module's ``__all__`` is its public API; the package exports their union.
 """
-from .bias import SecondOrderParams, default_k0, effective_tau, estimate_second_order, \
-    reduced_bias_eta, reduced_bias_path
-from .copulas import CopulaModel, Family, copula_cdf, replicate_generator, sample_copula
-from .errors import ConstraintError, DataError, EstimationError, NumericDomainError, \
-    ParameterDomainError, ResidualDepError, TieError, VarianceDomainError
-from .estimators import EstimatorSpec, EtaEstimate, asymptotic_bias, asymptotic_variance, \
-    eta_hat, m_ab, m_ab_path, point_estimate
-from .ingest import IngestionSpec, empirical_quantile, ingest
-from .pseudo import BivariateSample, Margin, PseudoSample, TiePolicy, compute_ranks, \
-    joint_exceedance_count
-from .simulate import CellResult, KstarRule, SecondOrderSpec, SimulationReport, \
-    StudyConfig, config_from_dict, emit_report, load_config, run_study, write_report
+from . import bias, copulas, errors, estimators, ingest, pseudo, simulate
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BivariateSample",
-    "CellResult",
-    "ConstraintError",
-    "CopulaModel",
-    "DataError",
-    "EstimationError",
-    "EstimatorSpec",
-    "EtaEstimate",
-    "Family",
-    "IngestionSpec",
-    "KstarRule",
-    "Margin",
-    "NumericDomainError",
-    "ParameterDomainError",
-    "PseudoSample",
-    "ResidualDepError",
-    "SecondOrderParams",
-    "SecondOrderSpec",
-    "SimulationReport",
-    "StudyConfig",
-    "TieError",
-    "TiePolicy",
-    "VarianceDomainError",
-    "asymptotic_bias",
-    "asymptotic_variance",
-    "compute_ranks",
-    "config_from_dict",
-    "copula_cdf",
-    "default_k0",
-    "effective_tau",
-    "emit_report",
-    "empirical_quantile",
-    "estimate_second_order",
-    "eta_hat",
-    "ingest",
-    "joint_exceedance_count",
-    "load_config",
-    "m_ab",
-    "m_ab_path",
-    "point_estimate",
-    "reduced_bias_eta",
-    "reduced_bias_path",
-    "replicate_generator",
-    "run_study",
-    "sample_copula",
-    "write_report",
-]
+__all__ = [*bias.__all__, *copulas.__all__, *errors.__all__, *estimators.__all__,
+           *ingest.__all__, *pseudo.__all__, *simulate.__all__]
+
+# after this, ``ingest`` names the function, not the module
+from .bias import *  # noqa: E402, F403
+from .copulas import *  # noqa: E402, F403
+from .errors import *  # noqa: E402, F403
+from .estimators import *  # noqa: E402, F403
+from .ingest import *  # noqa: E402, F403
+from .pseudo import *  # noqa: E402, F403
+from .simulate import *  # noqa: E402, F403

@@ -54,6 +54,14 @@ def oracle_n(token: str) -> int:
     return value
 
 
+def kstar_rule(token: str) -> KstarRule:
+    """An argparse type that keeps the rule's own message (a ValueError loses it)."""
+    try:
+        return KstarRule.parse(token)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def float_list(token: str) -> list[float]:
     return [float(tok) for tok in token.split(",")]
 
@@ -219,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", default=Margin.FRECHET_SHIFTED.value,
                    choices=[m.value for m in Margin])
     p.add_argument("--reduce-bias", action="store_true", dest="reduce_bias")
-    p.add_argument("--kstar", type=KstarRule.parse, default=None,
+    p.add_argument("--kstar", type=kstar_rule, default=None,
                    help="k* rule: powP, sqrtk, or an integer (default pow0.3)")
     p.add_argument("--tau", type=float, default=None, help="user-supplied tau")
     p.add_argument("--beta", type=float, default=None, help="user-supplied beta")

@@ -26,7 +26,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ParameterDomainError, real
+from .errors import ParameterDomainError, _real
 
 __all__ = [
     "Family",
@@ -60,7 +60,7 @@ class CopulaModel:
     def __post_init__(self):
         fam = Family(self.family)
         object.__setattr__(self, "family", fam)
-        theta = float(real("model theta", self.theta))
+        theta = float(_real("model theta", self.theta))
         object.__setattr__(self, "theta", theta)
         if fam is Family.FGM:
             if not -1.0 <= theta <= 1.0:

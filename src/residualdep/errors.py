@@ -5,6 +5,9 @@ numeric-domain problems with 4 (usage errors exit with 2 via argparse).
 """
 import numbers
 
+__all__ = ["ResidualDepError", "ParameterDomainError", "DataError", "TieError",
+           "NumericDomainError", "VarianceDomainError", "ConstraintError", "EstimationError"]
+
 
 class ResidualDepError(Exception):
     """Base class for all package-specific errors."""
@@ -38,17 +41,17 @@ class EstimationError(ResidualDepError, RuntimeError):
     """An estimation procedure failed on the given data (degenerate tail, ...)."""
 
 
-def real(name: str, value, what: str = "a number"):
+def _real(name: str, value, what: str = "a number"):
     """``value``, unless it is a boolean or not a real number (a JSON string is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} {value!r} is not {what}")
     return value
 
 
-def integral(name: str, value) -> int:
+def _integral(name: str, value) -> int:
     """``value`` as an int; a float must be integral (25.0 passes, 2.5 does not), and a
     boolean or a string is not a number."""
-    if not isinstance(real(name, value, "an integer"), numbers.Integral) \
+    if not isinstance(_real(name, value, "an integer"), numbers.Integral) \
             and not float(value).is_integer():
         raise ValueError(f"{name} {value!r} is not an integer")
     return int(value)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bias import SecondOrderParams, effective_tau, estimate_second_order, reduced_bias_path
 from .copulas import CopulaModel, replicate_generator, sample_copula
-from .errors import ParameterDomainError, ResidualDepError, integral, real
+from .errors import ParameterDomainError, ResidualDepError, _integral, _real
 from .estimators import EstimatorSpec, m_ab_path
 from .pseudo import BivariateSample, Margin, PseudoSample
 
@@ -70,11 +70,11 @@ class KstarRule:
 
     def __post_init__(self):
         if self.kind == "pow_n":
-            value = float(real("kstar_rule", self.value, "a power"))
+            value = float(_real("kstar_rule", self.value, "a power"))
             if not 0.0 < value < math.inf:
                 raise ValueError(f"k* rule 'pow{value:g}' needs a finite power > 0")
         elif self.kind == "fixed":
-            if (value := integral("kstar_rule", self.value)) < 1:
+            if (value := _integral("kstar_rule", self.value)) < 1:
                 raise ValueError(f"fixed k* must be >= 1, got {value}")
         elif self.kind == "sqrt_k":
             value = 0.0
@@ -88,7 +88,7 @@ class KstarRule:
         if isinstance(token, KstarRule):
             return token
         if not isinstance(token, str):
-            return cls("fixed", real("kstar_rule", token, "a k* rule"))
+            return cls("fixed", _real("kstar_rule", token, "a k* rule"))
         token = token.strip().lower()
         if token == "sqrtk":
             return cls("sqrt_k")
@@ -107,8 +107,9 @@ class KstarRule:
     def token(self) -> str:
         if self.kind == "sqrt_k":
             return "sqrtk"
-        if self.kind == "pow_n":
-            return f"pow{self.value:g}"
+        if self.kind == "pow_n":  # :g unless it rounds the power (pow0.1234567)
+            text = f"{self.value:g}"
+            return f"pow{text if float(text) == self.value else repr(self.value)}"
         return str(int(self.value))
 
     def resolve(self, n: int, k: int) -> int:
@@ -146,9 +147,9 @@ class SecondOrderSpec:
             raise ValueError(f"second-order k0 acts only in mode 'per_replicate', "
                              f"not {self.mode!r}")
         if self.k0 is not None:
-            object.__setattr__(self, "k0", integral("second-order k0", self.k0))
+            object.__setattr__(self, "k0", _integral("second-order k0", self.k0))
         for name, value in (("tau", self.tau), ("beta", self.beta)):
-            if value is not None and not math.isfinite(real(f"second-order {name}", value)):
+            if value is not None and not math.isfinite(_real(f"second-order {name}", value)):
                 raise ValueError(f"second-order {name} must be finite, got {value}")
         if self.tau is not None and not self.tau > 0.0:
             raise ValueError(f"second-order tau must be > 0, got {self.tau}")
@@ -200,12 +201,12 @@ class StudyConfig:
 
     def __post_init__(self):
         for name, least in (("n", 2), ("N", 1), ("master_seed", 0)):
-            object.__setattr__(self, name, value := integral(name, getattr(self, name)))
+            object.__setattr__(self, name, value := _integral(name, getattr(self, name)))
             if value < least:
                 raise ValueError(f"need {name} >= {least}, got {value}")
         if any(isinstance(q, bool) for q in _listed("q_grid", self.q_grid)):
             raise ValueError(f"q_grid values must not be booleans, got {list(self.q_grid)}")
-        q_grid = {float(real("q_grid value", q)) for q in self.q_grid}
+        q_grid = {float(_real("q_grid value", q)) for q in self.q_grid}
         if not all(0.0 < q < math.inf for q in q_grid):  # NaN would also leave no sort order
             raise ValueError(f"q_grid values must lie in (0, inf), got {list(self.q_grid)}")
         object.__setattr__(self, "q_grid", tuple(sorted(q_grid)))
@@ -228,8 +229,8 @@ class StudyConfig:
             return tuple(range(1, int(0.3 * self.n) + 1))
         ks = []
         for entry in _listed("k_grid", raw):
-            real("k_grid entry", entry, "an integer")
-            k = int(self.n * entry) if 0 < entry < 1 else integral("k_grid entry", entry)
+            _real("k_grid entry", entry, "an integer")
+            k = int(self.n * entry) if 0 < entry < 1 else _integral("k_grid entry", entry)
             if not 1 <= k < self.n:
                 raise ValueError(f"k_grid entry {entry!r} resolves to k={k}, need 1 <= k < n")
             ks.append(k)

@@ -184,6 +184,14 @@ class TestReducedBias:
             reduced_bias_eta(pseudo, 25, 6, 0.0, so)  # 6 > sqrt(25)
         reduced_bias_eta(pseudo, 36, 6, 0.0, so)  # boundary is allowed
 
+    def test_domain_errors(self):
+        pseudo = _pseudo(5, 300)
+        so = SecondOrderParams(0.5, 0.1, k0=0)
+        with pytest.raises(ValueError, match="need 1 <= k_star <= n - 1, got 0"):
+            reduced_bias_eta(pseudo, 36, 0, 0.0, so)
+        with pytest.raises(NumericDomainError, match="reduced-bias estimate undefined"):
+            reduced_bias_eta(pseudo, 36, 6, 1 - 1 / 1e-6, so)  # M_(a,-a) overflows
+
     def test_beta_zero_leaves_only_shift_term(self):
         pseudo = _pseudo(5, 300)
         k, kstar, a = 40, 6, 0.0

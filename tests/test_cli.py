@@ -426,13 +426,15 @@ class TestEstimateCommand:
         assert code == 4 and out == ""
         assert f"second-order tau must be > 0, got {float(tau)}" in err
 
-    @pytest.mark.parametrize("token", ["pow-1", "pownan", "powinf", "pow1e400"])
+    @pytest.mark.parametrize("token", ["pow-1", "pownan", "powinf", "pow1e400", "abc"])
     def test_bad_kstar_power_exit_2(self, uniform_csv, capsys, token):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--data", uniform_csv, "--x", "a", "--y", "b",
                   "--dry", "0", "--quantile", "0", "--reduce-bias", "--kstar", token])
         assert exc.value.code == 2
-        assert f"argument --kstar: invalid parse value: '{token}'" in capsys.readouterr().err
+        message = ("kstar_rule 'abc' is not a k* rule" if token == "abc"
+                   else f"k* rule '{token}' needs a finite power > 0")
+        assert f"argument --kstar: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k_max", ["0", "-1", "1", "7", "nan"])
     def test_k_max_outside_unit_interval_exit_2(self, uniform_csv, capsys, k_max):
@@ -556,6 +558,14 @@ class TestSecondOrderCommand:
         assert code == 0
         assert out.strip().split("\n")[1].split(",")[2] == "500"
 
+    def test_quantile_outside_unit_interval_exit_4(self, uniform_csv, capsys):
+        code, out, err = run_cli(
+            capsys, "second-order", "--data", uniform_csv, "--x", "a", "--y", "b",
+            "--dry", "0", "--quantile", "1.5",
+        )
+        assert code == 4 and out == ""
+        assert "quantile_filter must lie in [0, 1), got 1.5" in err
+
 
 @pytest.fixture
 def dated_csv(tmp_path):
@@ -599,6 +609,13 @@ class TestDateFilters:
                                *flt)
         assert code == 3
         assert flt[1] in err
+
+    def test_unparseable_row_date_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "bad_date.csv"
+        path.write_text("date,a,b\n2001-06-01,1.0,2.0\n2001-13-40,1.5,2.5\n")
+        code, _, err = run_cli(capsys, *self.ARGS, "--data", str(path), "--date-col", "date")
+        assert code == 3
+        assert f"{path}: unparseable ISO date '2001-13-40' at row 3" in err
 
 
 class TestOracleCommand:

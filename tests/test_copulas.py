@@ -63,6 +63,10 @@ class TestCdf:
         m = CopulaModel("amh", -1.0)
         assert copula_cdf(m, 0.5, 0.5) == pytest.approx(0.2, abs=1e-15)
 
+    def test_outside_unit_square_rejected(self):
+        with pytest.raises(ValueError, match=r"u and v must lie in \[0, 1\]"):
+            copula_cdf(CopulaModel("frank", 1.0), 1.5, 0.5)
+
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.family.value}_{m.theta}")
     def test_uniform_margin_boundary(self, model):
         for v in (0.1, 0.5, 0.93):

@@ -278,6 +278,15 @@ class TestConfidenceInterval:
             asymptotic_variance(1.0, 0.6)
         assert all(math.isnan(bound) for bound in uncertainty(0.6, 50, 1.0)[1:])
 
+    @pytest.mark.parametrize("k, level, match", [
+        (50, 0.0, r"level must be in \(0, 1\), got 0.0"),
+        (50, 1.5, r"level must be in \(0, 1\), got 1.5"),
+        (0, 0.95, "need k >= 1, got 0"),
+    ])
+    def test_level_and_k_checked(self, k, level, match):
+        with pytest.raises(ValueError, match=match):
+            uncertainty(0.5, k, 0.0, level)
+
 
 def test_ndtri_port_equals_scipy_bit_for_bit():
     """The in-package Cephes ndtri against the installed scipy's, on the centre, both

@@ -26,6 +26,16 @@ def test_no_name_listed_twice(module):
     assert [name for name, count in Counter(module.__all__).items() if count > 1] == []
 
 
+def test_package_exports_the_union_of_module_lists():
+    # the modules' lists are the only place a public name is written down
+    assert residualdep.__all__ == [name for module in WITH_ALL[1:] for name in module.__all__]
+    assert [m.__name__.split(".")[1] for m in WITH_ALL[1:]] == \
+        ["bias", "copulas", "errors", "estimators", "ingest", "pseudo", "simulate"]
+    for name in ("CellGrid", "cell_grid", "evaluate_cells", "uncertainty"):
+        home = importlib.import_module(getattr(residualdep, name).__module__)
+        assert getattr(residualdep, name) is getattr(home, name), name
+
+
 def test_package_exports_are_listed_where_defined():
     unlisted = []
     for name in residualdep.__all__:

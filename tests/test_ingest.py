@@ -128,6 +128,14 @@ class TestIngest:
         with pytest.raises(DataError, match=match):
             spec_for(rainfall_csv, date_col="date", **flt)
 
+    @pytest.mark.parametrize("flt, match", [
+        ({"quantile_filter": 1.5}, r"quantile_filter must lie in \[0, 1\), got 1.5"),
+        ({"dry_threshold": -1}, "dry_threshold must be >= 0, got -1"),
+    ])
+    def test_filter_outside_its_domain(self, rainfall_csv, flt, match):
+        with pytest.raises(ValueError, match=match):
+            spec_for(rainfall_csv, **flt)
+
     def test_date_range_filter(self, tmp_path):
         rows = [f"2001-06-{i % 30 + 1:02d},{2 + 0.01 * i:.3f},{3 + 0.01 * i:.3f}"
                 for i in range(300)]

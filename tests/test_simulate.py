@@ -67,6 +67,13 @@ class TestStudyConfig:
         c = small_config(master_seed=100)
         assert a.config_hash() != c.config_hash()
 
+    def test_hash_tells_apart_powers_that_round_alike(self):
+        # both powers print as 0.123457 under :g; the token keeps every digit
+        a, b = small_config(kstar_rule="pow0.1234567"), small_config(kstar_rule="pow0.1234568")
+        assert a.config_hash() != b.config_hash()
+        for cfg in (a, b):
+            assert KstarRule.parse(cfg.kstar_rule.token()) == cfg.kstar_rule
+
     def test_kstar_rule_parsing(self):
         assert KstarRule.parse("sqrtk").resolve(500, 49) == 7
         assert KstarRule.parse("pow0.3").resolve(500, 400) == 10  # floor of 10
