@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._workspace import Workspace, floats
 from .errors import ConstraintError, DataError, EstimationError, NumericDomainError, \
     ParameterDomainError, _integral
 from .estimators import EtaEstimate, _bias_factor, m_ab_path, uncertainty
@@ -70,7 +71,8 @@ def default_k0(n: int) -> int:
     return min(int(n ** 0.999), n - 1)
 
 
-def estimate_second_order(pseudo, k0: int | None = None) -> SecondOrderParams:
+def estimate_second_order(pseudo, k0: int | None = None, *,
+                          workspace: Workspace | None = None) -> SecondOrderParams:
     """Estimate (tau, beta) from the top k0 standard-Pareto pseudo-observations.
 
     tau comes from the three-moment statistics-ratio estimator (log tuning),
@@ -84,6 +86,9 @@ def estimate_second_order(pseudo, k0: int | None = None) -> SecondOrderParams:
         read) or an already-sorted positive sample.
     k0 : int, optional
         Number of top order statistics to use; defaults to [n^0.999].
+    workspace : optional
+        A study's reusable buffers, which take the tail and every temporary; the
+        estimate is the same either way.
 
     Raises
     ------
@@ -103,15 +108,18 @@ def estimate_second_order(pseudo, k0: int | None = None) -> SecondOrderParams:
     if not 2 <= k0 <= n - 1:
         raise ParameterDomainError(f"need 2 <= k0 <= n - 1 = {n - 1}, got {k0}")
 
-    tail = pseudo.top(Margin.PARETO_T, k0 + 1) if isinstance(pseudo, PseudoSample) \
+    # each step writes to its ``out`` (None allocates), in the order of the formula
+    out = floats(workspace, n, k0 + 1)[0]
+    tail = pseudo.top(Margin.PARETO_T, k0 + 1, out=out) if isinstance(pseudo, PseudoSample) \
         else np.asarray(pseudo)[n - k0 - 1:]
-    log_t = np.log(tail)  # z_(n-k0) .. z_(n)
-    excess = log_t[1:] - log_t[0]
+    log_t = np.log(tail, out=out)  # z_(n-k0) .. z_(n)
+    outs = floats(workspace, n, k0)[1:4]
+    excess = np.subtract(log_t[1:], log_t[0], out=outs[0])
     if not excess.any():
         raise EstimationError(f"degenerate tail: top {k0} pseudo-observations are constant")
     m1 = float(np.mean(excess))
-    m2 = float(np.mean(excess ** 2))
-    m3 = float(np.mean(excess ** 3))
+    m2 = float(np.mean(np.power(excess, 2, out=outs[1])))
+    m3 = float(np.mean(np.power(excess, 3, out=outs[1])))
     if m2 <= 0.0 or m3 <= 0.0:
         raise EstimationError("degenerate tail moments; cannot form the statistics ratio")
     num = math.log(m1) - 0.5 * math.log(m2 / 2.0)
@@ -128,24 +136,30 @@ def estimate_second_order(pseudo, k0: int | None = None) -> SecondOrderParams:
             f"(statistics ratio {t_stat:.6g} on k0={k0} of n={n})"
         )
 
-    beta = _beta_companion(log_t, n, k0, tau)
+    if workspace is None:
+        i = np.arange(1, k0 + 1)
+        x = i / k0
+    else:
+        i, x = workspace.counts[:k0], workspace.fractions(k0)
+    beta = _beta_companion(log_t, n, k0, tau, i, x, outs)
     if not math.isfinite(beta):
         raise EstimationError(f"beta estimate diverged at k0={k0}")
     return SecondOrderParams(tau_hat=tau, beta_hat=beta, k0=k0)
 
 
-def _beta_companion(log_t: np.ndarray, n: int, k0: int, tau: float) -> float:
-    # scaled log-spacings U_i = i (log z_(n-i+1) - log z_(n-i)), i = 1..k0
+def _beta_companion(log_t: np.ndarray, n: int, k0: int, tau: float, i: np.ndarray,
+                    x: np.ndarray, outs) -> float:
+    # scaled log-spacings U_i = i (log z_(n-i+1) - log z_(n-i)) for i = 1..k0 and
+    # x = i / k0; each step writes to one of the three ``outs`` (None allocates)
     rho = -tau
-    i = np.arange(1, k0 + 1)
     desc = log_t[::-1]
-    spacings = i * (desc[:k0] - desc[1:k0 + 1])
-    x = i / k0
-    x_rho = x ** (-rho)
+    spacings = np.multiply(i, np.subtract(desc[:k0], desc[1:k0 + 1], out=outs[0]), out=outs[0])
+    x_rho = np.power(x, -rho, out=outs[1])
     d_rho = float(np.mean(x_rho))
     big_d0 = float(np.mean(spacings))
-    big_dr = float(np.mean(x_rho * spacings))
-    big_d2r = float(np.mean(x ** (-2.0 * rho) * spacings))
+    big_dr = float(np.mean(np.multiply(x_rho, spacings, out=outs[2])))
+    big_d2r = float(np.mean(np.multiply(np.power(x, -2.0 * rho, out=outs[2]), spacings,
+                                        out=outs[2])))
     denom = d_rho * big_dr - big_d2r
     if denom == 0.0:
         raise EstimationError("beta estimator denominator vanished")

@@ -26,6 +26,7 @@ from functools import cache
 
 import numpy as np
 
+from ._workspace import Workspace, floats
 from .errors import ParameterDomainError, _real
 
 __all__ = [
@@ -105,7 +106,8 @@ def _special():
     return scipy.special
 
 
-def sample_copula(model: CopulaModel, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+def sample_copula(model: CopulaModel, n: int, seed, *,
+                  workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n`` pairs from the copula, uniform marginals on (0, 1).
 
     Parameters
@@ -116,6 +118,9 @@ def sample_copula(model: CopulaModel, n: int, seed) -> tuple[np.ndarray, np.ndar
         Number of pairs, at least 2.
     seed : int or numpy.random.Generator
         Source of randomness; an int seeds ``replicate_generator``.
+    workspace : optional
+        A study's reusable buffers: u, v and the temporaries are written there, and
+        u and v hold until its next use.  The values are the same either way.
 
     Returns
     -------
@@ -126,38 +131,53 @@ def sample_copula(model: CopulaModel, n: int, seed) -> tuple[np.ndarray, np.ndar
     rng = seed if isinstance(seed, np.random.Generator) else replicate_generator(seed)
     theta = model.theta
     fam = model.family
+    # each step writes to its ``out`` (None allocates), in the order of the formula
+    u_out, v_out, t1, t2, t3, t4 = floats(workspace, n)
     if fam is Family.GAUSSIAN:
         ndtr = _special().ndtr
-        z1 = rng.standard_normal(n)
-        z2 = rng.standard_normal(n)
-        u = ndtr(z1)
-        v = ndtr(theta * z1 + np.sqrt(1.0 - theta * theta) * z2)
-        return u, v
-    u = rng.random(n)
-    w = rng.random(n)
+        z1 = rng.standard_normal(n, out=t1)
+        z2 = rng.standard_normal(n, out=t2)
+        u = ndtr(z1, out=u_out)
+        # v = ndtr(theta z1 + sqrt(1 - theta^2) z2)
+        z = np.add(np.multiply(theta, z1, out=t1),
+                   np.multiply(np.sqrt(1.0 - theta * theta), z2, out=t2), out=t1)
+        return u, ndtr(z, out=v_out)
+    u = rng.random(n, out=u_out)
+    w = rng.random(n, out=v_out)
     if fam is Family.FGM:
         # dC/du = v + A v(1-v) with A = theta(1-2u); solve the quadratic in v
-        # via the rationalised root, stable through A -> 0.
-        A = theta * (1.0 - 2.0 * u)
-        disc = (1.0 + A) ** 2 - 4.0 * A * w
-        v = 2.0 * w / (1.0 + A + np.sqrt(disc))
-        return u, v
+        # via the rationalised root, stable through A -> 0:
+        # v = 2 w / (1 + A + sqrt((1 + A)^2 - 4 A w))
+        A = np.multiply(theta, np.subtract(1.0, np.multiply(2.0, u, out=t1), out=t1), out=t1)
+        one_a = np.add(1.0, A, out=t2)
+        disc = np.subtract(np.power(one_a, 2, out=t3),
+                           np.multiply(np.multiply(4.0, A, out=t1), w, out=t1), out=t3)
+        return u, np.divide(np.multiply(2.0, w, out=v_out),
+                            np.add(one_a, np.sqrt(disc, out=t3), out=t3), out=v_out)
     if fam is Family.FRANK:
-        # g(z) = 1 - exp(-theta z); conditional inverse g(v) = w g(1) / (e^{-theta u} + w g(u))
+        # g(z) = 1 - exp(-theta z); conditional inverse g(v) = w g(1) / (e^{-theta u} + w g(u)),
+        # v = -log1p(-g(v)) / theta
         g1 = -np.expm1(-theta)
-        gu = -np.expm1(-theta * u)
-        gv = w * g1 / (np.exp(-theta * u) + w * gu)
-        v = -np.log1p(-gv) / theta
-        return u, v
+        gu = np.negative(np.expm1(np.multiply(-theta, u, out=t1), out=t1), out=t1)
+        den = np.add(np.exp(np.multiply(-theta, u, out=t2), out=t2),
+                     np.multiply(w, gu, out=t1), out=t2)
+        gv = np.divide(np.multiply(w, g1, out=v_out), den, out=v_out)
+        return u, np.divide(np.negative(np.log1p(np.negative(gv, out=v_out), out=v_out),
+                                        out=v_out), theta, out=v_out)
     # AMH: conditional CDF v(1 - theta(1-v)) / (1 - theta(1-u)(1-v))^2 = w,
-    # a quadratic in v; rationalised positive root.
-    b = theta * (1.0 - u)
-    a2 = theta - w * b * b
-    a1 = 1.0 - theta - 2.0 * w * b * (1.0 - b)
-    a0 = -w * (1.0 - b) ** 2
-    disc = a1 * a1 - 4.0 * a2 * a0
-    v = -2.0 * a0 / (a1 + np.sqrt(disc))
-    return u, v
+    # a quadratic a2 v^2 + a1 v + a0 = 0 in v with b = theta (1 - u),
+    # a2 = theta - w b^2, a1 = 1 - theta - 2 w b (1 - b), a0 = -w (1 - b)^2;
+    # rationalised positive root v = -2 a0 / (a1 + sqrt(a1^2 - 4 a2 a0)).
+    b = np.multiply(theta, np.subtract(1.0, u, out=t1), out=t1)
+    a2 = np.subtract(theta, np.multiply(np.multiply(w, b, out=t2), b, out=t2), out=t2)
+    one_b = np.subtract(1.0, b, out=t3)
+    a1 = np.subtract(1.0 - theta, np.multiply(
+        np.multiply(np.multiply(2.0, w, out=t4), b, out=t4), one_b, out=t4), out=t4)
+    a0 = np.multiply(np.negative(w, out=v_out), np.power(one_b, 2, out=t3), out=v_out)
+    disc = np.subtract(np.multiply(a1, a1, out=t1),
+                       np.multiply(np.multiply(4.0, a2, out=t2), a0, out=t2), out=t1)
+    return u, np.divide(np.multiply(-2.0, a0, out=v_out),
+                        np.add(a1, np.sqrt(disc, out=t1), out=t1), out=v_out)
 
 
 def copula_cdf(model: CopulaModel, u, v):

@@ -18,12 +18,13 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cached_property, partial
-from itertools import compress, repeat, starmap
+from itertools import chain, compress, repeat, starmap
 from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
+from ._workspace import Workspace
 from .bias import SecondOrderParams, effective_tau, estimate_second_order, reduced_bias_path
 from .copulas import CopulaModel, replicate_generator, sample_copula
 from .errors import ParameterDomainError, ResidualDepError, _integral, _real
@@ -72,7 +73,7 @@ class KstarRule:
         if self.kind == "pow_n":
             value = float(_real("kstar_rule", self.value, "a power"))
             if not 0.0 < value < math.inf:
-                raise ValueError(f"k* rule 'pow{value:g}' needs a finite power > 0")
+                raise ValueError(f"k* rule 'pow{_power_text(value)}' needs a finite power > 0")
         elif self.kind == "fixed":
             if (value := _integral("kstar_rule", self.value)) < 1:
                 raise ValueError(f"fixed k* must be >= 1, got {value}")
@@ -107,14 +108,16 @@ class KstarRule:
     def token(self) -> str:
         if self.kind == "sqrt_k":
             return "sqrtk"
-        if self.kind == "pow_n":  # :g unless it rounds the power (pow0.1234567)
-            text = f"{self.value:g}"
-            return f"pow{text if float(text) == self.value else repr(self.value)}"
+        if self.kind == "pow_n":
+            return f"pow{_power_text(self.value)}"
         return str(int(self.value))
 
     def resolve(self, n: int, k: int) -> int:
         if self.kind == "pow_n":
-            raw = max(int(n ** self.value), 10)
+            try:
+                raw = max(int(n ** self.value), 10)
+            except OverflowError:  # n^value past the float range: the isqrt(k) cap below
+                raw = k
         elif self.kind == "sqrt_k":
             raw = math.isqrt(k)
         else:
@@ -158,9 +161,10 @@ class SecondOrderSpec:
             raise ValueError(f"second-order {given[0]} acts only in modes 'oracle' and 'user', "
                              "not 'per_replicate'")
 
-    def resolve(self, model: CopulaModel, pseudo: PseudoSample) -> SecondOrderParams:
+    def resolve(self, model: CopulaModel, pseudo: PseudoSample, *,
+                workspace: Workspace | None = None) -> SecondOrderParams:
         if self.mode == "per_replicate":
-            return estimate_second_order(pseudo, self.k0)
+            return estimate_second_order(pseudo, self.k0, workspace=workspace)
         tau = self.tau
         if tau is None:  # mode 'oracle' without a given tau
             if model.true_eta is None:
@@ -252,6 +256,12 @@ class StudyConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _power_text(value: float) -> str:
+    """A k* power as a rule token spells it: :g unless that rounds it (0.1234567)."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 def _listed(name: str, value):
@@ -347,18 +357,26 @@ def evaluate_cells(pseudo: PseudoSample, grid: CellGrid,
     return etas
 
 
-def _evaluate_replicate(config: StudyConfig, grid: CellGrid, r: int) -> np.ndarray:
-    """Estimates of replicate r on every cell of ``grid``."""
+def _evaluate_replicate(config: StudyConfig, grid: CellGrid, r: int,
+                        workspace: Workspace | None = None) -> np.ndarray:
+    """Estimates of replicate r on every cell of ``grid``, a new array; sampling, ranking
+    and second-order estimation run in ``workspace`` if one is given."""
     rng = replicate_generator(config.master_seed, r)
-    u, v = sample_copula(config.model, config.n, rng)
-    pseudo = PseudoSample.from_sample(BivariateSample(u, v))
+    u, v = sample_copula(config.model, config.n, rng, workspace=workspace)
+    pseudo = PseudoSample.from_sample(BivariateSample(u, v), workspace=workspace)
     so = None
     if grid.kstars is not None:
         try:
-            so = config.second_order.resolve(config.model, pseudo)
+            so = config.second_order.resolve(config.model, pseudo, workspace=workspace)
         except ResidualDepError:
             pass
     return evaluate_cells(pseudo, grid, so)
+
+
+def _evaluate_block(config: StudyConfig, grid: CellGrid, replicates: range) -> list:
+    """Estimates of each replicate of ``replicates``, in order, through one workspace."""
+    workspace = Workspace(config.n)
+    return [_evaluate_replicate(config, grid, r, workspace) for r in replicates]
 
 
 # --- order-insensitive moment merging ---------------------------------------
@@ -487,21 +505,25 @@ class SimulationReport:
 def run_study(config: StudyConfig, *, workers: int = 1) -> SimulationReport:
     """Execute the study; results are independent of ``workers``.
 
-    Replicates are distributed over worker processes when ``workers`` > 1;
-    the per-replicate streams and the fixed-order aggregation tree make the
-    report bit-identical for any worker count.
+    Replicates are distributed over worker processes when ``workers`` > 1, in
+    contiguous blocks; the replicates of a study, or of a block, sample, rank and
+    estimate second order in one workspace of length-n buffers.  The per-replicate
+    streams and the fixed-order aggregation tree make the report bit-identical for
+    any worker count.
     """
     grid = cell_grid(config.margins, config.q_grid, config.k_grid, config.kstar_rule,
                      config.n, Margin.FRECHET_SHIFTED in config.margins)
     truth = config.model.true_eta if config.model.true_eta is not None else math.nan
-    evaluate = partial(_evaluate_replicate, config, grid)
     if workers <= 1 or config.N == 1:
+        evaluate = partial(_evaluate_replicate, config, grid, workspace=Workspace(config.n))
         moments = _merge_stream(map(evaluate, range(config.N)))
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled study needs it
+        size = max(1, config.N // (workers * 4))  # replicates per task
+        blocks = [range(start, min(start + size, config.N)) for start in range(0, config.N, size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, config.N // (workers * 4))
-            moments = _merge_stream(pool.map(evaluate, range(config.N), chunksize=chunk))
+            results = pool.map(partial(_evaluate_block, config, grid), blocks)
+            moments = _merge_stream(chain.from_iterable(results))
 
     ok = moments.count > 0
     scored = ok & math.isfinite(truth)

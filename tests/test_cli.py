@@ -198,6 +198,25 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path), "--out", str(out))
         assert code == 3 and f"cannot write report to {out}" in err
 
+    def test_overflowing_kstar_power_takes_the_sqrt_k_cap(self, tmp_path, capsys):
+        # 200^400 is past the float range; every k* is capped at isqrt(k), as under sqrtk
+        reports = []
+        for rule in ("pow400", "sqrtk"):
+            cfg_path = tmp_path / f"{rule}.json"
+            cfg_path.write_text(json.dumps({
+                "model": {"family": "frank", "theta": 0.5}, "n": 200, "N": 2,
+                "q_grid": [0.5, 1.0], "k_grid": [10, 50], "margins": ["frechet_shifted"],
+                "second_order": {"mode": "oracle"}, "kstar_rule": rule, "master_seed": 3}))
+            out = tmp_path / f"{rule}.csv"
+            code, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                                   "--out", str(out))
+            assert code == 0 and err == ""
+            reports.append(out.read_text())
+        rows = parse_estimate_csv(reports[0])
+        assert [(r["k"], r["kstar"]) for r in rows if r["estimator"] == "reduced"] == \
+            [("10", "3"), ("50", "7")] * 2
+        assert reports[0] == reports[1]
+
 
 class TestEstimateCommand:
     def test_comonotone_eta_near_one(self, tmp_path, capsys):
@@ -435,6 +454,15 @@ class TestEstimateCommand:
         message = ("kstar_rule 'abc' is not a k* rule" if token == "abc"
                    else f"k* rule '{token}' needs a finite power > 0")
         assert f"argument --kstar: {message}" in capsys.readouterr().err
+
+    def test_overflowing_kstar_power_takes_the_sqrt_k_cap(self, uniform_csv, capsys):
+        # 2000^400 is past the float range; every k* is capped at isqrt(k), as under sqrtk
+        args = ("estimate", "--data", uniform_csv, "--x", "a", "--y", "b", "--dry", "0",
+                "--quantile", "0", "--q", "0.5", "--k-max", "0.05", "--reduce-bias")
+        code, out, err = run_cli(capsys, *args, "--kstar", "pow400")
+        assert code == 0 and err == ""
+        assert out == run_cli(capsys, *args, "--kstar", "sqrtk")[1]
+        assert [row["reduced"] for row in parse_estimate_csv(out)].count("true") == 2 * 100
 
     @pytest.mark.parametrize("k_max", ["0", "-1", "1", "7", "nan"])
     def test_k_max_outside_unit_interval_exit_2(self, uniform_csv, capsys, k_max):

@@ -1,10 +1,12 @@
 """Peak memory that does not grow with the input.
 
 ``ingest`` keeps each parsed row as 20 bytes of typed columns, not as Python
-floats and dates, and ``write_report`` turns one path of the report into
-Python objects at a time, not the whole (4, paths, k) statistics table.  The
-guards measure the Python heap with ``tracemalloc``, which counts the bytes
-each allocation asks for, so the figures repeat from run to run.
+floats and dates, ``write_report`` turns one path of the report into
+Python objects at a time, not the whole (4, paths, k) statistics table, and a
+study's replicates sample, rank and estimate second order in buffers that the
+study allocates once.  The guards measure the Python heap with ``tracemalloc``,
+which counts the bytes each allocation asks for (numpy's arrays included), so
+the figures repeat from run to run.
 """
 import os
 import pathlib
@@ -12,10 +14,12 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from residualdep import IngestionSpec, config_from_dict, ingest, run_study
-from residualdep.simulate import write_report
+from residualdep._workspace import Workspace
+from residualdep.simulate import _evaluate_replicate, cell_grid, write_report
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -41,6 +45,15 @@ INGEST_BYTES_PER_ROW = 3 * (8 + 8 + 4)
 # needs 1.46 MB on its own.
 ONE_PATH_BYTES = 150 * (4 * 24 + 6 * 8 + 2 * (49 + 200))
 REPORT_PEAK_BYTES = 4 * ONE_PATH_BYTES
+
+# A replicate in its study's workspace writes every length-n sample, rank, tail and
+# temporary there.  What it may still allocate per row is argsort's indices (8 bytes;
+# one margin's are freed before the other is sorted) and the boolean masks of the NaN
+# checks on x and y (1 byte each), 10 bytes in all.  The kernel's arrays on a grid of
+# 2 q and two small k, the estimates and the Python objects take a constant far below
+# that at n = 20,000, so the bound is 2 x 10 = 20.  Sampling, ranking and second-order
+# estimation in new arrays, as each replicate did before, take about 95.
+REPLICATE_BYTES_PER_ROW = 2 * (8 + 1 + 1)
 
 
 def _peak(call):
@@ -72,6 +85,27 @@ def test_report_peak_is_a_few_paths(tmp_path):
     peak = _peak(lambda: write_report(report, out))
     assert max(map(len, out.read_text().splitlines())) < 200
     assert peak < REPORT_PEAK_BYTES, peak
+
+
+def test_replicate_peak_in_its_workspace():
+    config = config_from_dict({
+        "model": {"family": "amh", "theta": -1.0}, "n": 20_000, "N": 4, "master_seed": 5,
+        "q_grid": [0.5, 1.0], "k_grid": [50, 200], "second_order": "per_replicate",
+        "margins": ["pareto_t", "frechet_shifted", "frechet_unshifted"]})
+    grid = cell_grid(config.margins, config.q_grid, config.k_grid, config.kstar_rule,
+                     config.n, True)
+    workspace = Workspace(config.n)
+    _evaluate_replicate(config, grid, 0, workspace)  # warm: first-call costs are not per replicate
+    for r in (1, 2):
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            etas = _evaluate_replicate(config, grid, r, workspace)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(etas).all()  # second order and every kernel call succeeded
+        assert peak / config.n < REPLICATE_BYTES_PER_ROW, peak
 
 
 def test_package_import_loads_no_logging():

@@ -93,7 +93,9 @@ class TestStudyConfig:
         ("fixed", 0, "0", r"fixed k\* must be >= 1, got 0"),
         ("pow_n", True, None, "kstar_rule True is not a power"),
         ("pow_n", "0.3", None, "kstar_rule '0.3' is not a power"),
-    ], ids=["kind", "power", "count", "boolean", "string"])
+        ("pow_n", -0.1234567, "pow-0.1234567",
+         r"k\* rule 'pow-0\.1234567' needs a finite power > 0"),
+    ], ids=["kind", "power", "count", "boolean", "string", "unrounded_power"])
     def test_kstar_rule_checks_itself(self, kind, value, token, message):
         # built directly, a rule gets the checks parse makes, and the message parse gives
         with pytest.raises(ValueError, match=message):
