@@ -1,16 +1,17 @@
-"""One study's reusable length-n arrays.
+"""One study's reusable arrays.
 
-Every replicate of a study has the same n, so the length-n arrays that sampling,
-ranking and second-order estimation write can be made once per study.  At n = 20,000
-each is 160 KB, a size that glibc hands back to the kernel when it is freed, so a
-fresh array per replicate is page-faulted in again on every replicate.
+Every replicate of a study has the same n and the same grid, so the length-n arrays
+that sampling, ranking and second-order estimation write, and the (rows, k_max)
+arrays of the M_{a,b} kernel, can be made once per study.  At n = 20,000 each
+length-n array is 160 KB, a size that glibc hands back to the kernel when it is
+freed, so a fresh array per replicate is page-faulted in again on every replicate.
 
-``sample_copula``, ``PseudoSample.from_sample`` and ``estimate_second_order`` take a
-``Workspace`` as their keyword-only ``workspace``.  Given one, they write each length-n
-result and temporary into its buffers through ``out=``, with the same ufuncs in the
-same order as without one, so the values are the same to the bit; without one, every
-``out`` is None and numpy allocates as usual.  A result computed in a workspace lives
-in its buffers: it holds until the workspace's next use.
+``sample_copula``, ``PseudoSample.from_sample``, ``estimate_second_order`` and
+``m_ab_path`` take a ``Workspace`` as their keyword-only ``workspace``.  Given one, they
+write each result and temporary of those sizes into its buffers through ``out=``, with
+the same ufuncs in the same order as without one, so the values are the same to the
+bit; without one, every ``out`` is None and numpy allocates as usual.  A result
+computed in a workspace lives in its buffers: it holds until the workspace's next use.
 """
 from __future__ import annotations
 
@@ -24,7 +25,8 @@ FLOATS = 6
 
 class Workspace:
     """Buffers for samples of size ``n``: six float64 and two int64 arrays of length
-    n, a boolean one of length n - 1, and the constants 1..n and i/k0."""
+    n, a boolean one of length n - 1, the constants 1..n and i/k0, and the kernel's
+    arrays for the study's grid."""
 
     def __init__(self, n: int):
         self.n = n
@@ -33,12 +35,23 @@ class Workspace:
         self.tied = np.empty(n - 1, dtype=bool)
         self.counts = np.arange(1, n + 1)
         self._fractions = (0, None)
+        self._kernel = (None, None)
 
     def fractions(self, k0: int) -> np.ndarray:
         """i / k0 for i = 1..k0, kept for the last k0 asked for (a study has one)."""
         if self._fractions[0] != k0:
             self._fractions = (k0, self.counts[:k0] / k0)
         return self._fractions[1]
+
+    def kernel(self, tails: int, rows: int, top: int) -> tuple:
+        """The kernel's float64 arrays for ``rows`` (a, b) rows over ``tails`` tails up to
+        k = ``top``: the stacked tails (tails, top + 1), which the kernel turns into
+        logs in place, their excesses (tails, top) and the terms (rows, top); kept for
+        the last shape asked for (a study has one grid)."""
+        if self._kernel[0] != (tails, rows, top):
+            self._kernel = ((tails, rows, top), (np.empty((tails, top + 1)),
+                                                 np.empty((tails, top)), np.empty((rows, top))))
+        return self._kernel[1]
 
 
 def floats(workspace: Workspace | None, n: int, size: int | None = None) -> tuple:

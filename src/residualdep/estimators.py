@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._workspace import Workspace
 from .errors import NumericDomainError, VarianceDomainError
 from .pseudo import Margin, PseudoSample
 
@@ -80,43 +81,66 @@ class EstimatorSpec:
         return cls(a=a, b=-a, margin=Margin(margin), q=q)
 
 
-def m_ab_path(tail: np.ndarray, ks, a, b) -> np.ndarray:
+def m_ab_path(tail: np.ndarray, ks, a, b, tail_index=None, *,
+              workspace: Workspace | None = None) -> np.ndarray:
     """Evaluate M_{a,b} at every k of ``ks`` (each in 1 .. len(tail) - 1).
 
     Entry j is M_{a,b} over the top ``ks[j]`` values of the ascending,
     positive ``tail`` above the threshold ``tail[-ks[j] - 1]``, or NaN where
     that is not finite.  Vectors ``a`` and ``b`` give one such path per (a, b)
-    pair, a row each.  With L_0 >= L_1 >= ... the descending logs,
+    pair, a row each.  A 2-D ``tail`` stacks several tails (a margin's each,
+    say), and row r of ``a`` and ``b`` runs on tail ``tail_index[r]`` (the
+    first by default); a 1-D ``tail`` serves every row.  With L_0 >= L_1 >= ... the descending logs,
 
         log A_a(k) = log1p(S_k / k) / a + (L_0 - L_k),
         S_k = sum_{i<k} expm1(a (L_i - L_0)),
 
     and the a = 0 (log-limit) member is sum_{i<k} (L_i - L_0) / k + (L_0 - L_k),
-    so one cumulative sum per row serves every k.  The anchor L_0 is the top
-    value, which makes entry j depend on ``tail[-ks[j] - 1:]`` alone.  For
-    a < 0 the terms grow with i; prefix sums past the float range are taken
-    in log space instead.
+    so one cumulative sum per row serves every k, and the logs and excesses
+    L_i - L_0 of a tail serve all its rows.  The anchor L_0 is the top value,
+    which makes entry j depend on ``tail[-ks[j] - 1:]`` alone.  For a < 0 the
+    terms grow with i; prefix sums past the float range are taken in log space
+    instead, on the row's own tail.
+
+    Given a study's ``workspace``, the logs, excesses and terms are written to its
+    kernel buffers, with the same ufuncs in the same order, so the result is the same
+    to the bit; ``tail`` may be the workspace's stacked-tails buffer, which then
+    holds the logs.
     """
     ks = np.asarray(ks, dtype=np.intp)
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if ks.size == 0:
         return np.empty(a.shape + (0,))
     tail = np.asarray(tail, dtype=float)
-    top = int(ks.max())
-    if ks.min() < 1 or top >= len(tail):
-        raise ValueError(f"need 1 <= k <= {len(tail) - 1} for {len(tail)} values, "
+    top, length = int(ks.max()), tail.shape[-1]
+    if ks.min() < 1 or top >= length:
+        raise ValueError(f"need 1 <= k <= {length - 1} for {length} values, "
                          f"got k in {ks.min()}..{top}")
+    tails = tail.reshape(-1, length)[:, length - top - 1:]
     a_col, b_col = a.reshape(-1, 1), b.reshape(-1, 1)
+    rows = np.zeros(len(a_col), dtype=np.intp) if tail_index is None else \
+        np.asarray(tail_index, dtype=np.intp).reshape(-1)
+    if rows.shape != (len(a_col),) or len(rows) and not 0 <= rows.min() <= rows.max() < len(tails):
+        raise ValueError(f"tail_index must give one of the {len(tails)} tails per (a, b) row")
     hill = a_col == 0.0
+    logs_out, excess_out, terms_out = (None,) * 3 if workspace is None else \
+        workspace.kernel(len(tails), len(a_col), top)
     with np.errstate(all="ignore"):
-        logs = np.log(tail[len(tail) - top - 1:])[::-1]
-        excess = logs[:-1] - logs[0]
-        sums = np.cumsum(np.where(hill, excess, np.expm1(a_col * excess)), axis=-1)[:, ks - 1]
+        logs = np.log(tails, out=logs_out)[:, ::-1]
+        excess = np.subtract(logs[:, :-1], logs[:, :1], out=excess_out)
+        # each row's excesses (every index is in range, and mode "raise" would buffer a
+        # copy of ``out``), expm1(a x) in place, and the Hill rows' excesses again
+        terms = np.take(excess, rows, axis=0, out=terms_out, mode="clip")
+        np.expm1(np.multiply(a_col, terms, out=terms), out=terms)
+        for row in np.flatnonzero(hill):
+            terms[row] = excess[rows[row]]
+        sums = np.cumsum(terms, axis=-1, out=terms)[:, ks - 1]
         log_mean = np.log1p(sums / ks)
         for row in np.flatnonzero(~np.isfinite(sums).all(axis=-1)):
-            lse = np.logaddexp.accumulate(a_col[row] * excess)[ks - 1]
+            lse = np.logaddexp.accumulate(a_col[row] * excess[rows[row]])[ks - 1]
             log_mean[row] = np.where(np.isfinite(sums[row]), log_mean[row], lse - np.log(ks))
-        log_a = np.where(hill, sums / ks, log_mean / a_col) + (logs[0] - logs[ks])
+        gap = np.take(logs[:, :1] - logs[:, ks], rows, axis=0)  # L_0 - L_k of each row's tail
+        log_a = np.where(hill, sums / ks, log_mean / a_col) + gap
         m = np.where(b_col == 0.0, log_a, np.expm1(b_col * log_a) / b_col)
     return np.where(np.isfinite(m), m, np.nan).reshape(a.shape + ks.shape)
 

@@ -31,7 +31,7 @@ from .errors import ParameterDomainError, ResidualDepError, _integral, _real
 from .estimators import EstimatorSpec, m_ab_path
 from .pseudo import BivariateSample, Margin, PseudoSample
 
-# Not called here (``evaluate_cells`` makes one ``m_ab_path`` call per margin
+# Not called here (``evaluate_cells`` makes one ``m_ab_path`` call per sample
 # and corrects the reduced-bias rows with ``reduced_bias_path``), but the
 # benchmark's tracer, bench/runner.py, wraps them under these names.
 from .bias import reduced_bias_eta  # noqa: F401
@@ -44,6 +44,7 @@ __all__ = [
     "CellResult",
     "SimulationReport",
     "CellGrid",
+    "KernelRows",
     "cell_grid",
     "evaluate_cells",
     "run_study",
@@ -307,10 +308,22 @@ def load_config(path, master_seed: int | None = None) -> StudyConfig:
 
 # --- the study grid ---------------------------------------------------------
 
+class KernelRows(NamedTuple):
+    """The distinct (margin, a, b) kernel rows of a grid: row r runs (a[r], b[r]) on the
+    tail of ``margins[tail[r]]``, and path p of the grid reads row ``path_row[p]``."""
+
+    margins: tuple  # the tails' margins, in order of first use
+    tail: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    path_row: np.ndarray
+
+
 class CellGrid(NamedTuple):
     """The study grid as a product: a table of paths, a column per field, each path over
     every k of ``ks``; ``kstars`` holds the reduced-bias k* of each k (None when no path
-    is reduced-bias).  Path p runs the conjugate pair (a[p], b[p]) of q[p] on margin[p]."""
+    is reduced-bias).  Path p runs the conjugate pair (a[p], b[p]) of q[p] on margin[p];
+    ``kernel`` holds the distinct rows that the kernel evaluates for the paths."""
 
     estimator: np.ndarray  # 'raw' or 'reduced'
     margin: np.ndarray  # the Margin value
@@ -319,6 +332,7 @@ class CellGrid(NamedTuple):
     b: np.ndarray
     ks: np.ndarray
     kstars: np.ndarray | None
+    kernel: KernelRows
 
 
 def cell_grid(margins, q_grid, k_grid, kstar_rule: KstarRule, n: int,
@@ -326,7 +340,9 @@ def cell_grid(margins, q_grid, k_grid, kstar_rule: KstarRule, n: int,
     """The path table over ``k_grid``; sorted grids give report row order.
 
     Raw paths on each margin come first, then, if ``reduced``, the reduced-bias
-    paths, which are on the shifted-Frechet margin whatever ``margins`` holds.
+    paths, which are on the shifted-Frechet margin whatever ``margins`` holds.  A
+    reduced-bias path's base estimate is the raw shifted-Frechet path of its q, one
+    kernel row for both, where the grid has that path.
     """
     ks = np.asarray(k_grid, dtype=np.intp)
     paths = [("raw", EstimatorSpec.conjugate(q, margin=m)) for m in margins for q in q_grid]
@@ -337,19 +353,31 @@ def cell_grid(margins, q_grid, k_grid, kstar_rule: KstarRule, n: int,
                   for q in q_grid]
     rows = [(estimator, spec.margin.value, spec.q, spec.a, spec.b) for estimator, spec in paths]
     columns = zip(*rows) if rows else [()] * 5
-    return CellGrid(*map(np.array, columns, (str, str, float, float, float)), ks, kstars)
+    kernel_rows = {}  # (margin, a, b) -> its row, in order of first use
+    path_row = [kernel_rows.setdefault((spec.margin, spec.a, spec.b), len(kernel_rows))
+                for _, spec in paths]
+    tails = {}  # margin -> its tail, in order of first use
+    tail = [tails.setdefault(margin, len(tails)) for margin, _, _ in kernel_rows]
+    _, a, b = zip(*kernel_rows) if kernel_rows else ((), (), ())
+    kernel = KernelRows(tuple(tails), np.array(tail, dtype=np.intp), np.array(a, dtype=float),
+                        np.array(b, dtype=float), np.array(path_row, dtype=np.intp))
+    return CellGrid(*map(np.array, columns, (str, str, float, float, float)), ks, kstars, kernel)
 
 
-def evaluate_cells(pseudo: PseudoSample, grid: CellGrid,
-                   so: SecondOrderParams | None) -> np.ndarray:
-    """Estimates of one sample on every cell, a (paths, k) array, one kernel call per margin
-    (reduced-bias paths are on V*): NaN where an estimate is undefined, and on every
-    reduced-bias path when ``so`` is None."""
-    etas = np.empty((len(grid.a), len(grid.ks)))
-    top = int(grid.ks.max(initial=0)) + 1  # the values a path reads at its largest k
-    for margin in dict.fromkeys(grid.margin.tolist()):
-        rows = grid.margin == margin
-        etas[rows] = m_ab_path(pseudo.top(margin, top), grid.ks, grid.a[rows], grid.b[rows])
+def evaluate_cells(pseudo: PseudoSample, grid: CellGrid, so: SecondOrderParams | None, *,
+                   workspace: Workspace | None = None) -> np.ndarray:
+    """Estimates of one sample on every cell, a (paths, k) array, from one kernel call on
+    the grid's distinct rows, each margin's tail a row of the stacked tails: NaN where an
+    estimate is undefined, and on every reduced-bias path when ``so`` is None.  Given a
+    study's ``workspace``, the stacked tails and the kernel's arrays are its buffers."""
+    kernel = grid.kernel
+    top = int(grid.ks.max(initial=0))  # a path reads top + 1 values at its largest k
+    tails = np.empty((len(kernel.margins), top + 1)) if workspace is None else \
+        workspace.kernel(len(kernel.margins), len(kernel.a), top)[0]
+    for margin, out in zip(kernel.margins, tails):
+        pseudo.top(margin, top + 1, out=out)
+    etas = m_ab_path(tails, grid.ks, kernel.a, kernel.b, kernel.tail,
+                     workspace=workspace)[kernel.path_row]
     if grid.kstars is not None:
         reduced = grid.estimator == "reduced"
         etas[reduced] = math.nan if so is None else \
@@ -359,8 +387,8 @@ def evaluate_cells(pseudo: PseudoSample, grid: CellGrid,
 
 def _evaluate_replicate(config: StudyConfig, grid: CellGrid, r: int,
                         workspace: Workspace | None = None) -> np.ndarray:
-    """Estimates of replicate r on every cell of ``grid``, a new array; sampling, ranking
-    and second-order estimation run in ``workspace`` if one is given."""
+    """Estimates of replicate r on every cell of ``grid``, a new array; sampling, ranking,
+    second-order estimation and the kernel run in ``workspace`` if one is given."""
     rng = replicate_generator(config.master_seed, r)
     u, v = sample_copula(config.model, config.n, rng, workspace=workspace)
     pseudo = PseudoSample.from_sample(BivariateSample(u, v), workspace=workspace)
@@ -370,7 +398,7 @@ def _evaluate_replicate(config: StudyConfig, grid: CellGrid, r: int,
             so = config.second_order.resolve(config.model, pseudo, workspace=workspace)
         except ResidualDepError:
             pass
-    return evaluate_cells(pseudo, grid, so)
+    return evaluate_cells(pseudo, grid, so, workspace=workspace)
 
 
 def _evaluate_block(config: StudyConfig, grid: CellGrid, replicates: range) -> list:
@@ -506,8 +534,8 @@ def run_study(config: StudyConfig, *, workers: int = 1) -> SimulationReport:
     """Execute the study; results are independent of ``workers``.
 
     Replicates are distributed over worker processes when ``workers`` > 1, in
-    contiguous blocks; the replicates of a study, or of a block, sample, rank and
-    estimate second order in one workspace of length-n buffers.  The per-replicate
+    contiguous blocks; the replicates of a study, or of a block, sample, rank,
+    estimate second order and run the kernel in one workspace.  The per-replicate
     streams and the fixed-order aggregation tree make the report bit-identical for
     any worker count.
     """

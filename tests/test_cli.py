@@ -348,14 +348,15 @@ class TestEstimateCommand:
         unbounded = [r["k"] for r in rows if (r["ci_low"], r["ci_high"]) == ("-inf", "inf")]
         assert unbounded == ["1", "2"]
 
-    def test_one_kernel_call_per_margin(self, uniform_csv, capsys, monkeypatch):
-        # the raw paths run on pareto_t, the reduced-bias base rows on frechet_shifted
+    def test_one_kernel_call_on_distinct_rows(self, uniform_csv, capsys, monkeypatch):
+        # one call: the raw paths run on pareto_t, and the reduced-bias base rows on
+        # frechet_shifted, which has no raw path of its own here, so 3 + 3 rows
         from residualdep import estimators, simulate
         calls = []
 
-        def counting(tail, ks, a, b):
-            calls.append(len(a))
-            return estimators.m_ab_path(tail, ks, a, b)
+        def counting(tail, ks, a, b, tail_index=None, *, workspace=None):
+            calls.append((len(tail), len(a)))
+            return estimators.m_ab_path(tail, ks, a, b, tail_index, workspace=workspace)
 
         monkeypatch.setattr(simulate, "m_ab_path", counting)
         code, _, _ = run_cli(
@@ -363,7 +364,7 @@ class TestEstimateCommand:
             "--dry", "0", "--quantile", "0", "--q", "0.5,1.5", "--k-max", "0.02",
             "--margin", "pareto_t", "--reduce-bias",
         )
-        assert code == 0 and calls == [3, 3]
+        assert code == 0 and calls == [(2, 6)]
 
     def test_pinned_bytes(self, uniform_csv, capsys):
         # sha256 of a reduced-bias run with log-space rows (q = 0.001) and four failed

@@ -1,7 +1,8 @@
 """Accuracy of the M_{a,b} path kernel against 40-digit decimal arithmetic.
 
 ``m_ab_path`` evaluates M_{a,b} in an anchored form (logs, excesses over the top
-log, one cumulative sum per row).  Here every entry is compared with M_{a,b} taken
+log, one cumulative sum per row), on one tail or on stacked tails with a tail per
+row.  Here every entry, from either call, is compared with M_{a,b} taken
 from its definition in ``decimal`` at 40 significant digits, on the same
 float64 tail values (a float converts to a Decimal exactly), and must lie within a
 forward-error bound derived below for each entry from the reference's own values.
@@ -40,6 +41,7 @@ the kernel returns NaN, and must do so exactly there.
 """
 import decimal
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -104,13 +106,12 @@ def reference(tail, a, b):
 
 @pytest.fixture(scope="module")
 def cases():
-    """(margin, q, tail, reference per k) for every margin and q, on two seeds."""
-    found = []
+    """Per seed, (margin, spec, tail, reference per k) for every margin and q."""
+    found = {}
     for seed in (3, 41):
-        for margin, tail in seeded_tails(seed).items():
-            for q in Q_GRID:
-                spec = EstimatorSpec.conjugate(q)
-                found.append((margin, spec, tail, reference(tail, spec.a, spec.b)))
+        found[seed] = [(margin, spec, tail, reference(tail, spec.a, spec.b))
+                       for margin, tail in seeded_tails(seed).items()
+                       for spec in map(EstimatorSpec.conjugate, Q_GRID)]
     return found
 
 
@@ -126,8 +127,21 @@ def check(got, margin, spec, want):
 
 
 def test_one_margin_calls_within_the_forward_error_bound(cases):
-    for margin, spec, tail, want in cases:
+    for margin, spec, tail, want in chain.from_iterable(cases.values()):
         check(m_ab_path(tail, KS, spec.a, spec.b), margin, spec, want)
+
+
+def test_stacked_call_within_the_forward_error_bound(cases):
+    # one call per seed: the three margins' tails stacked, a row per (margin, q)
+    for seed_cases in cases.values():
+        margins = list(dict.fromkeys(margin for margin, *_ in seed_cases))
+        tails = np.stack([tail for margin, _, tail, _ in seed_cases[::len(Q_GRID)]])
+        got = m_ab_path(tails, KS, [spec.a for _, spec, _, _ in seed_cases],
+                        [spec.b for _, spec, _, _ in seed_cases],
+                        [margins.index(margin) for margin, *_ in seed_cases])
+        assert got.shape == (3 * len(Q_GRID), len(KS))
+        for row, (margin, spec, _, want) in zip(got, seed_cases):
+            check(row, margin, spec, want)
 
 
 def test_bound_is_tight_where_nothing_overflows(cases):
@@ -135,7 +149,7 @@ def test_bound_is_tight_where_nothing_overflows(cases):
     # 1e-11 relative to M (1.7e-12 at most here, at k = n - 1, where the summation
     # term k e dominates), and the errors seen use part of it
     worst = 0.0
-    for margin, spec, tail, want in cases:
+    for margin, spec, tail, want in chain.from_iterable(cases.values()):
         if spec.q not in DEFAULT_Q_GRID:
             continue
         got = m_ab_path(tail, KS, spec.a, spec.b)

@@ -3,8 +3,8 @@
 ``ingest`` keeps each parsed row as 20 bytes of typed columns, not as Python
 floats and dates, ``write_report`` turns one path of the report into
 Python objects at a time, not the whole (4, paths, k) statistics table, and a
-study's replicates sample, rank and estimate second order in buffers that the
-study allocates once.  The guards measure the Python heap with ``tracemalloc``,
+study's replicates sample, rank, estimate second order and run the kernel in buffers
+that the study allocates once.  The guards measure the Python heap with ``tracemalloc``,
 which counts the bytes each allocation asks for (numpy's arrays included), so
 the figures repeat from run to run.
 """
@@ -54,6 +54,18 @@ REPORT_PEAK_BYTES = 4 * ONE_PATH_BYTES
 # that at n = 20,000, so the bound is 2 x 10 = 20.  Sampling, ranking and second-order
 # estimation in new arrays, as each replicate did before, take about 95.
 REPLICATE_BYTES_PER_ROW = 2 * (8 + 1 + 1)
+
+# The large-n benchmark grid: amh(-1), n = 20,000, four q and k/n of 0.01, 0.05 and
+# 0.1 on three margins.  The kernel reads the top 2,001 values of each margin, and its
+# stacked tails, excesses and (12 rows, 2,000) terms, 240 KB in all, are the study's
+# workspace buffers too.  What a warm replicate may still allocate is argsort's indices
+# and the two NaN-check masks, 10 bytes per row as above, and arrays of (rows, len(ks))
+# or (paths, len(ks)) entries: at most 16 x 3 floats of 8 bytes, 384 bytes and a
+# 112-byte header each, and fewer than 16 of them alive at once, so under 8 KB; the
+# Python objects of the call take another few KB.  The bound is the 10 bytes per row
+# plus 16 KB.  The kernel's (rows, k) temporaries in new arrays, as each replicate had
+# before, take about 19 bytes per row.
+LARGE_N_GRID_BYTES = 20_000 * (8 + 1 + 1) + 16 * 1024
 
 
 def _peak(call):
@@ -106,6 +118,29 @@ def test_replicate_peak_in_its_workspace():
             tracemalloc.stop()
         assert np.isfinite(etas).all()  # second order and every kernel call succeeded
         assert peak / config.n < REPLICATE_BYTES_PER_ROW, peak
+
+
+def test_replicate_peak_on_the_large_n_grid():
+    config = config_from_dict({
+        "model": {"family": "amh", "theta": -1.0}, "n": 20_000, "N": 4, "master_seed": 5,
+        "q_grid": [0.5, 1.0, 1.5, 1.9], "k_grid": [0.01, 0.05, 0.1],
+        "second_order": "per_replicate",
+        "margins": ["pareto_t", "frechet_shifted", "frechet_unshifted"]})
+    grid = cell_grid(config.margins, config.q_grid, config.k_grid, config.kstar_rule,
+                     config.n, True)
+    assert grid.ks.tolist() == [200, 1000, 2000] and len(grid.kernel.a) == 12
+    workspace = Workspace(config.n)
+    _evaluate_replicate(config, grid, 0, workspace)  # warm: the workspace sizes its buffers
+    for r in (1, 2):
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            etas = _evaluate_replicate(config, grid, r, workspace)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(etas).all()  # second order and every kernel row succeeded
+        assert peak < LARGE_N_GRID_BYTES, peak
 
 
 def test_package_import_loads_no_logging():

@@ -549,27 +549,28 @@ class TestRunStudy:
     @pytest.mark.parametrize("exc", [ValueError, ZeroDivisionError])
     def test_programming_errors_propagate(self, monkeypatch, exc):
         # only package domain errors become n_fail; anything else is a bug
-        def broken(*args):
+        def broken(tail, ks, a, b, tail_index=None, *, workspace=None):
             raise exc("broken kernel")
 
         monkeypatch.setattr("residualdep.simulate.m_ab_path", broken)
         with pytest.raises(exc, match="broken kernel"):
             run_study(small_config(N=2))
 
-    def test_one_kernel_call_per_margin(self, monkeypatch):
-        # each replicate calls the kernel once per margin; the reduced-bias base rows
-        # ride in the shifted-Frechet call, next to its raw rows
+    def test_one_kernel_call_per_replicate(self, monkeypatch):
+        # each replicate calls the kernel once, on the stacked tails of its three
+        # margins; the reduced-bias base rows are the raw frechet_shifted rows of the
+        # same q, so 3 margins x 2 q = 6 distinct rows serve all 8 paths
         from residualdep import estimators
         calls = []
 
-        def counting(tail, ks, a, b):
-            calls.append(len(a))
-            return estimators.m_ab_path(tail, ks, a, b)
+        def counting(tail, ks, a, b, tail_index=None, *, workspace=None):
+            calls.append((len(tail), len(a)))
+            return estimators.m_ab_path(tail, ks, a, b, tail_index, workspace=workspace)
 
         monkeypatch.setattr("residualdep.simulate.m_ab_path", counting)
         cfg = small_config(N=4, margins=("pareto_t", "frechet_shifted", "frechet_unshifted"))
         run_study(cfg)
-        assert calls == [4, 2, 2] * 4  # frechet_shifted, frechet_unshifted, pareto_t
+        assert calls == [(3, 6)] * 4
 
     def test_kernel_overflow_counted_as_failure(self):
         # q = 1e-6 gives b = 999999, where M_{a,b} overflows: a domain error

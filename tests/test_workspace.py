@@ -1,9 +1,10 @@
 """A study's workspace changes no result.
 
 Given a workspace that earlier replicates have used, in any order, ``sample_copula``,
-``PseudoSample.from_sample`` and ``estimate_second_order`` return the bytes they return
-without one; without one they return new arrays; and a study's report is the same at
-any worker count, with each block of replicates in a workspace of its own.
+``PseudoSample.from_sample``, ``estimate_second_order`` and the kernel return the bytes
+they return without one, the kernel also after grids of other shapes; without one they
+return new arrays; and a study's report is the same at any worker count, with each
+block of replicates in a workspace of its own.
 """
 from functools import partial
 
@@ -14,7 +15,9 @@ from residualdep import BivariateSample, CopulaModel, Margin, PseudoSample, Resi
     TieError, compute_ranks, config_from_dict, emit_report, estimate_second_order, \
     replicate_generator, run_study, sample_copula
 from residualdep._workspace import Workspace
-from residualdep.simulate import _evaluate_replicate, _merge_stream, cell_grid
+from residualdep.estimators import m_ab_path
+from residualdep.simulate import ALL_MARGINS, _evaluate_replicate, _merge_stream, cell_grid, \
+    evaluate_cells
 
 N_ROWS = 2_000
 FAMILIES = [("gaussian", 0.3), ("frank", 0.5), ("fgm", 0.7), ("amh", -1.0)]
@@ -108,9 +111,46 @@ def test_workspace_of_another_size_refused():
         estimate_second_order(PseudoSample.from_sample(sample), workspace=Workspace(300))
 
 
+# (margins, q grid, k grid): each grid's kernel shape (tails, rows, k_max) differs from
+# the one before it, and the last is the first again
+GRIDS = [
+    (ALL_MARGINS, (0.5, 1.0), (20, 100, 400)),  # 3 tails, 6 rows, k_max 400
+    (ALL_MARGINS, (1e-3, 0.3, 0.5, 1.0, 1.7), (20, 100, 400)),  # 15 rows, log-space sums
+    (ALL_MARGINS, (0.5, 1.0), (20, 1_000)),  # k_max 1,000
+    ((Margin.PARETO_T,), (0.5, 1.0, 1.5), (20, 100, 400)),  # 2 tails: reduced rows of their own
+    (ALL_MARGINS, (0.5, 1.0), (20, 100, 400)),
+]
+
+
+def test_kernel_buffers_reused_across_grids():
+    config = study("amh", -1.0, 3)
+    samples = []
+    for r in range(config.N):
+        u, v = sample_copula(config.model, config.n, replicate_generator(config.master_seed, r))
+        pseudo = PseudoSample.from_sample(BivariateSample(u, v))
+        samples.append((pseudo, estimate_second_order(pseudo)))
+    grids = [cell_grid(margins, q_grid, k_grid, config.kstar_rule, config.n, True)
+             for margins, q_grid, k_grid in GRIDS]
+    shapes = [(len(g.kernel.margins), len(g.kernel.a), int(g.ks.max())) for g in grids]
+    assert all(before != after for before, after in zip(shapes, shapes[1:]))
+    workspace = Workspace(config.n)
+    for grid in grids + grids[::-1]:
+        for pseudo, so in samples:
+            want = evaluate_cells(pseudo, grid, so)
+            assert evaluate_cells(pseudo, grid, so, workspace=workspace).tobytes() == \
+                want.tobytes()
+        # a one-tail call in between, as ``estimate`` would make it
+        tail = pseudo.top(Margin.FRECHET_SHIFTED)
+        assert m_ab_path(tail, grid.ks, grid.a, grid.b, workspace=workspace).tobytes() == \
+            m_ab_path(tail, grid.ks, grid.a, grid.b).tobytes()
+
+
 @pytest.mark.parametrize("N", [1, 7, 65])
 def test_reports_alike_at_any_worker_count(N):
     config = study("amh", -1.0, N)
+    # reduced-bias paths, whose base rows are kernel rows of the raw frechet_shifted
+    # paths, and a k_max of 0.2 n
+    assert Margin.FRECHET_SHIFTED in config.margins and max(config.k_grid) >= 0.1 * config.n
     reports = {workers: emit_report(run_study(config, workers=workers)) for workers in (1, 2, 3)}
     assert reports[1] == reports[2] == reports[3]
     # the moments of replicates evaluated without a workspace, merged in index order
