@@ -43,14 +43,17 @@ class Workspace:
             self._fractions = (k0, self.counts[:k0] / k0)
         return self._fractions[1]
 
-    def kernel(self, tails: int, rows: int, top: int) -> tuple:
-        """The kernel's float64 arrays for ``rows`` (a, b) rows over ``tails`` tails up to
-        k = ``top``: the stacked tails (tails, top + 1), which the kernel turns into
-        logs in place, their excesses (tails, top) and the terms (rows, top); kept for
+    def kernel(self, tails: int, rows: int, top: int, columns: int) -> tuple:
+        """The kernel's float64 arrays for ``rows`` (a, b) rows over ``tails`` tails, at
+        ``columns`` values of k up to ``top``: the stacked tails (tails, top + 1), which
+        the kernel turns into logs in place, their excesses (tails, top), the terms
+        (rows, top), and two (rows, columns) arrays for the values at each k; kept for
         the last shape asked for (a study has one grid)."""
-        if self._kernel[0] != (tails, rows, top):
-            self._kernel = ((tails, rows, top), (np.empty((tails, top + 1)),
-                                                 np.empty((tails, top)), np.empty((rows, top))))
+        shape = (tails, rows, top, columns)
+        if self._kernel[0] != shape:
+            self._kernel = (shape, (np.empty((tails, top + 1)), np.empty((tails, top)),
+                                    np.empty((rows, top)), np.empty((rows, columns)),
+                                    np.empty((rows, columns))))
         return self._kernel[1]
 
 

@@ -123,8 +123,8 @@ def m_ab_path(tail: np.ndarray, ks, a, b, tail_index=None, *,
     if rows.shape != (len(a_col),) or len(rows) and not 0 <= rows.min() <= rows.max() < len(tails):
         raise ValueError(f"tail_index must give one of the {len(tails)} tails per (a, b) row")
     hill = a_col == 0.0
-    logs_out, excess_out, terms_out = (None,) * 3 if workspace is None else \
-        workspace.kernel(len(tails), len(a_col), top)
+    logs_out, excess_out, terms_out, sums_out, log_a_out = (None,) * 5 if workspace is None \
+        else workspace.kernel(len(tails), len(a_col), top, len(ks))
     with np.errstate(all="ignore"):
         logs = np.log(tails, out=logs_out)[:, ::-1]
         excess = np.subtract(logs[:, :-1], logs[:, :1], out=excess_out)
@@ -134,14 +134,22 @@ def m_ab_path(tail: np.ndarray, ks, a, b, tail_index=None, *,
         np.expm1(np.multiply(a_col, terms, out=terms), out=terms)
         for row in np.flatnonzero(hill):
             terms[row] = excess[rows[row]]
-        sums = np.cumsum(terms, axis=-1, out=terms)[:, ks - 1]
-        log_mean = np.log1p(sums / ks)
+        sums = np.take(np.cumsum(terms, axis=-1, out=terms), ks - 1, axis=-1, out=sums_out,
+                       mode="clip")
+        log_a = np.log1p(np.divide(sums, ks, out=log_a_out), out=log_a_out)  # log_mean, first
         for row in np.flatnonzero(~np.isfinite(sums).all(axis=-1)):
             lse = np.logaddexp.accumulate(a_col[row] * excess[rows[row]])[ks - 1]
-            log_mean[row] = np.where(np.isfinite(sums[row]), log_mean[row], lse - np.log(ks))
-        gap = np.take(logs[:, :1] - logs[:, ks], rows, axis=0)  # L_0 - L_k of each row's tail
-        log_a = np.where(hill, sums / ks, log_mean / a_col) + gap
-        m = np.where(b_col == 0.0, log_a, np.expm1(b_col * log_a) / b_col)
+            log_a[row] = np.where(np.isfinite(sums[row]), log_a[row], lse - np.log(ks))
+        # log_mean / a, or sums / k on the Hill rows, plus L_0 - L_k of each row's tail
+        np.divide(log_a, a_col, out=log_a)
+        for row in np.flatnonzero(hill):
+            np.divide(sums[row], ks, out=log_a[row])
+        np.add(log_a, np.take(logs[:, :1] - logs[:, ks], rows, axis=0, out=sums, mode="clip"),
+               out=log_a)
+        # (A^b - 1) / b, or log A on the b = 0 rows
+        m = np.divide(np.expm1(np.multiply(b_col, log_a, out=sums), out=sums), b_col, out=sums)
+        for row in np.flatnonzero(b_col == 0.0):
+            m[row] = log_a[row]
     return np.where(np.isfinite(m), m, np.nan).reshape(a.shape + ks.shape)
 
 

@@ -373,7 +373,7 @@ def evaluate_cells(pseudo: PseudoSample, grid: CellGrid, so: SecondOrderParams |
     kernel = grid.kernel
     top = int(grid.ks.max(initial=0))  # a path reads top + 1 values at its largest k
     tails = np.empty((len(kernel.margins), top + 1)) if workspace is None else \
-        workspace.kernel(len(kernel.margins), len(kernel.a), top)[0]
+        workspace.kernel(len(kernel.margins), len(kernel.a), top, len(grid.ks))[0]
     for margin, out in zip(kernel.margins, tails):
         pseudo.top(margin, top + 1, out=out)
     etas = m_ab_path(tails, grid.ks, kernel.a, kernel.b, kernel.tail,
