@@ -90,7 +90,8 @@ def m_ab_path(tail: np.ndarray, ks, a, b, tail_index=None, *,
     that is not finite.  Vectors ``a`` and ``b`` give one such path per (a, b)
     pair, a row each.  A 2-D ``tail`` stacks several tails (a margin's each,
     say), and row r of ``a`` and ``b`` runs on tail ``tail_index[r]`` (the
-    first by default); a 1-D ``tail`` serves every row.  With L_0 >= L_1 >= ... the descending logs,
+    first by default); a 1-D ``tail`` serves every row.  With L_0 >= L_1 >= ...
+    the descending logs,
 
         log A_a(k) = log1p(S_k / k) / a + (L_0 - L_k),
         S_k = sum_{i<k} expm1(a (L_i - L_0)),
@@ -102,10 +103,10 @@ def m_ab_path(tail: np.ndarray, ks, a, b, tail_index=None, *,
     terms grow with i; prefix sums past the float range are taken in log space
     instead, on the row's own tail.
 
-    Given a study's ``workspace``, the logs, excesses and terms are written to its
-    kernel buffers, with the same ufuncs in the same order, so the result is the same
-    to the bit; ``tail`` may be the workspace's stacked-tails buffer, which then
-    holds the logs.
+    Given a study's ``workspace``, the logs, the excesses, the (rows, k_max) terms
+    and the (rows, len(ks)) values are written to its kernel buffers, with the same
+    ufuncs in the same order, so the result is the same to the bit; ``tail`` may be
+    the workspace's stacked-tails buffer, which then holds the logs.
     """
     ks = np.asarray(ks, dtype=np.intp)
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
@@ -120,7 +121,8 @@ def m_ab_path(tail: np.ndarray, ks, a, b, tail_index=None, *,
     a_col, b_col = a.reshape(-1, 1), b.reshape(-1, 1)
     rows = np.zeros(len(a_col), dtype=np.intp) if tail_index is None else \
         np.asarray(tail_index, dtype=np.intp).reshape(-1)
-    if rows.shape != (len(a_col),) or len(rows) and not 0 <= rows.min() <= rows.max() < len(tails):
+    if rows.shape != (len(a_col),) or \
+            len(rows) and not 0 <= rows.min() <= rows.max() < len(tails):
         raise ValueError(f"tail_index must give one of the {len(tails)} tails per (a, b) row")
     hill = a_col == 0.0
     logs_out, excess_out, terms_out, sums_out, log_a_out = (None,) * 5 if workspace is None \

@@ -167,6 +167,23 @@ class TestPathKernel:
         for k, value in zip([1, 150, 300], got):
             assert value == pytest.approx(naive_log_a(tail[-k - 1:], k, -999.0), rel=1e-12)
 
+    def test_stacked_rows_are_one_tail_calls(self):
+        # row r of a stacked call is the one-tail call on tail tail_index[r], bit for
+        # bit, log-space (q = 1e-3) and overflowing (q = 1e-6) rows included
+        rng = np.random.default_rng(5)
+        tails = np.sort(1.0 + rng.pareto([[1.0], [2.0], [0.5]], size=(3, 301)), axis=-1)
+        specs = [EstimatorSpec.conjugate(q) for q in (1e-6, 1e-3, *DEFAULT_Q_GRID)]
+        pairs = [(spec.a, spec.b, t) for spec in specs for t in (2, 0, 1)]
+        a, b, index = (np.array(column) for column in zip(*pairs))
+        ks = [1, 2, 10, 150, 300]
+        rows = m_ab_path(tails, ks, a, b, index)
+        assert rows.shape == (len(pairs), len(ks))
+        for row, (a_j, b_j, t) in zip(rows, pairs):
+            assert row.tobytes() == m_ab_path(tails[t], ks, a_j, b_j).tobytes()
+        for index in ([0, 3], [-1, 0], [0]):
+            with pytest.raises(ValueError, match="tail_index"):
+                m_ab_path(tails, ks, [0.5, 0.0], [-0.5, 0.0], index)
+
     def test_empty_and_out_of_range_ks(self):
         assert m_ab_path(TAIL_842, [], 0.5, -0.5).shape == (0,)
         assert m_ab_path(TAIL_842, [], [0.5, 0.0, -2.0], [-0.5, 0.0, 2.0]).shape == (3, 0)

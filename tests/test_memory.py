@@ -57,13 +57,14 @@ REPLICATE_BYTES_PER_ROW = 2 * (8 + 1 + 1)
 
 # The large-n benchmark grid: amh(-1), n = 20,000, four q and k/n of 0.01, 0.05 and
 # 0.1 on three margins.  The kernel reads the top 2,001 values of each margin, and its
-# stacked tails, excesses and (12 rows, 2,000) terms, 240 KB in all, are the study's
-# workspace buffers too.  What a warm replicate may still allocate is argsort's indices
-# and the two NaN-check masks, 10 bytes per row as above, and arrays of (rows, len(ks))
-# or (paths, len(ks)) entries: at most 16 x 3 floats of 8 bytes, 384 bytes and a
-# 112-byte header each, and fewer than 16 of them alive at once, so under 8 KB; the
-# Python objects of the call take another few KB.  The bound is the 10 bytes per row
-# plus 16 KB.  The kernel's (rows, k) temporaries in new arrays, as each replicate had
+# stacked tails, excesses, (12 rows, 2,000) terms and two (12 rows, 3 k) arrays, 289 KB
+# in all, are the study's workspace buffers too.  What a warm replicate may still
+# allocate is argsort's indices and the two NaN-check masks, 10 bytes per row as above,
+# and arrays of (rows, len(ks)) or (paths, len(ks)) entries (the kernel's result, the
+# paths' estimates, the reduced-bias correction): at most 16 x 3 floats of 8 bytes,
+# 384 bytes and a 112-byte header each, and fewer than 16 of them alive at once, so
+# under 8 KB; the Python objects of the call take another few KB.  The bound is the 10
+# bytes per row plus 16 KB.  The kernel's (rows, k) temporaries in new arrays, as each replicate had
 # before, take about 19 bytes per row.
 LARGE_N_GRID_BYTES = 20_000 * (8 + 1 + 1) + 16 * 1024
 
