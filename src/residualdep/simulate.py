@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import chain, compress, repeat, starmap
 from operator import itemgetter
 from typing import NamedTuple
@@ -402,9 +402,11 @@ def _evaluate_replicate(config: StudyConfig, grid: CellGrid, r: int,
 
 
 def _evaluate_block(config: StudyConfig, grid: CellGrid, replicates: range) -> list:
-    """Estimates of each replicate of ``replicates``, in order, through one workspace."""
-    workspace = Workspace(config.n)
-    return [_evaluate_replicate(config, grid, r, workspace) for r in replicates]
+    """The merge stack of ``replicates``, evaluated in order through one workspace.  It
+    holds the nodes that the whole study's tree builds from them only if the block starts
+    at a multiple of a power of two B and holds at most B replicates."""
+    evaluate = partial(_evaluate_replicate, config, grid, workspace=Workspace(config.n))
+    return _fold(map(_Moments.leaf, map(evaluate, replicates)))
 
 
 # --- order-insensitive moment merging ---------------------------------------
@@ -433,18 +435,24 @@ class _Moments(NamedTuple):
         return _Moments(self.rank + other.rank, count, mean, m2)
 
 
-def _merge_stream(chunks) -> _Moments:
-    """Fold replicate vectors (in index order) along a fixed binary tree."""
+def _fold(nodes) -> list:
+    """Push ``nodes`` in order on a binary counter; j leaves leave a node per set bit of j."""
     stack: list[_Moments] = []
-    for values in chunks:
-        node = _Moments.leaf(values)
+    for node in nodes:
         while stack and stack[-1].rank == node.rank:
             node = stack.pop().merge(node)
         stack.append(node)
-    node = stack.pop()
-    while stack:
-        node = stack.pop().merge(node)
-    return node
+    return stack
+
+
+def _root(nodes) -> _Moments:
+    """The root of the fixed tree over ``nodes``: their stack, merged from the top."""
+    return reduce(lambda above, node: node.merge(above), reversed(_fold(nodes)))
+
+
+def _merge_stream(chunks) -> _Moments:
+    """Fold replicate vectors (in index order) along a fixed binary tree."""
+    return _root(map(_Moments.leaf, chunks))
 
 
 # --- report -----------------------------------------------------------------
@@ -533,25 +541,26 @@ class SimulationReport:
 def run_study(config: StudyConfig, *, workers: int = 1) -> SimulationReport:
     """Execute the study; results are independent of ``workers``.
 
-    Replicates are distributed over worker processes when ``workers`` > 1, in
-    contiguous blocks; the replicates of a study, or of a block, sample, rank,
-    estimate second order and run the kernel in one workspace.  The per-replicate
-    streams and the fixed-order aggregation tree make the report bit-identical for
-    any worker count.
+    ``_evaluate_block`` evaluates and folds contiguous blocks, one workspace each: one
+    block at one worker, else blocks of B, the largest power of two at most
+    N // (4 * workers), on a pool of at most one process per block.  A block that
+    starts at a multiple of B and holds at most B replicates folds into the nodes that
+    the fixed index-order tree builds from them, so with the per-replicate streams the
+    report is bit-identical for any worker count; a B not a power of two breaks this.
     """
     grid = cell_grid(config.margins, config.q_grid, config.k_grid, config.kstar_rule,
                      config.n, Margin.FRECHET_SHIFTED in config.margins)
     truth = config.model.true_eta if config.model.true_eta is not None else math.nan
-    if workers <= 1 or config.N == 1:
-        evaluate = partial(_evaluate_replicate, config, grid, workspace=Workspace(config.n))
-        moments = _merge_stream(map(evaluate, range(config.N)))
+    size = config.N if workers <= 1 else 1 << (max(1, config.N // (4 * workers)).bit_length() - 1)
+    blocks = [range(start, min(start + size, config.N)) for start in range(0, config.N, size)]
+    evaluate = partial(_evaluate_block, config, grid)
+    if len(blocks) == 1:
+        stacks = map(evaluate, blocks)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled study needs it
-        size = max(1, config.N // (workers * 4))  # replicates per task
-        blocks = [range(start, min(start + size, config.N)) for start in range(0, config.N, size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(partial(_evaluate_block, config, grid), blocks)
-            moments = _merge_stream(chain.from_iterable(results))
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+            stacks = list(pool.map(evaluate, blocks))
+    moments = _root(chain.from_iterable(stacks))
 
     ok = moments.count > 0
     scored = ok & math.isfinite(truth)

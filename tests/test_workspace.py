@@ -4,8 +4,10 @@ Given a workspace that earlier replicates have used, in any order, ``sample_copu
 ``PseudoSample.from_sample``, ``estimate_second_order`` and the kernel return the bytes
 they return without one, the kernel also after grids of other shapes; without one they
 return new arrays; and a study's report is the same at any worker count, with each
-block of replicates in a workspace of its own.
+block of replicates in a workspace of its own, folded into the stack of merge nodes
+that the whole study's tree builds from it, on a pool of at most one process a block.
 """
+import concurrent.futures
 from functools import partial
 
 import numpy as np
@@ -16,19 +18,29 @@ from residualdep import BivariateSample, CopulaModel, Margin, PseudoSample, Resi
     replicate_generator, run_study, sample_copula
 from residualdep._workspace import Workspace
 from residualdep.estimators import m_ab_path
-from residualdep.simulate import ALL_MARGINS, _evaluate_replicate, _merge_stream, cell_grid, \
-    evaluate_cells
+from residualdep.simulate import ALL_MARGINS, _evaluate_block, _evaluate_replicate, _merge_stream, \
+    cell_grid, evaluate_cells
 
 N_ROWS = 2_000
 FAMILIES = [("gaussian", 0.3), ("frank", 0.5), ("fgm", 0.7), ("amh", -1.0)]
 REPLICATES = range(4)
 
 
-def study(family, theta, N, n=N_ROWS):
+def study(family, theta, N, n=N_ROWS, q_grid=(0.5, 1.0), k_grid=(20, 100, 400)):
     return config_from_dict({
         "model": {"family": family, "theta": theta}, "n": n, "N": N, "master_seed": 17,
-        "q_grid": [0.5, 1.0], "k_grid": [20, 100, 400], "second_order": "per_replicate",
+        "q_grid": q_grid, "k_grid": k_grid, "second_order": "per_replicate",
         "margins": ["pareto_t", "frechet_shifted", "frechet_unshifted"]})
+
+
+def cheap_study(N):
+    """amh(-1) at n = 300 on 3 q and 3 k: about a millisecond a replicate."""
+    return study("amh", -1.0, N, n=300, q_grid=(0.5, 1.0, 1.5), k_grid=(5, 20, 60))
+
+
+def study_grid(config):
+    return cell_grid(config.margins, config.q_grid, config.k_grid, config.kstar_rule,
+                     config.n, True)
 
 
 def replicate_bytes(config, r, workspace=None):
@@ -145,19 +157,68 @@ def test_kernel_buffers_reused_across_grids():
             m_ab_path(tail, grid.ks, grid.a, grid.b).tobytes()
 
 
-@pytest.mark.parametrize("N", [1, 7, 65])
-def test_reports_alike_at_any_worker_count(N):
-    config = study("amh", -1.0, N)
+def assert_alike_at_any_worker_count(config):
     # reduced-bias paths, whose base rows are kernel rows of the raw frechet_shifted
     # paths, and a k_max of 0.2 n
     assert Margin.FRECHET_SHIFTED in config.margins and max(config.k_grid) >= 0.1 * config.n
     reports = {workers: emit_report(run_study(config, workers=workers)) for workers in (1, 2, 3)}
     assert reports[1] == reports[2] == reports[3]
     # the moments of replicates evaluated without a workspace, merged in index order
-    grid = cell_grid(config.margins, config.q_grid, config.k_grid, config.kstar_rule,
-                     config.n, True)
-    moments = _merge_stream(map(partial(_evaluate_replicate, config, grid), range(N)))
+    grid = study_grid(config)
+    moments = _merge_stream(map(partial(_evaluate_replicate, config, grid), range(config.N)))
     report = run_study(config)
     assert report.n_ok.tobytes() == moments.count.tobytes()
     assert report.stats[0].tobytes() == np.where(moments.count > 0, moments.mean,
                                                  np.nan).tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 7, 65])
+def test_reports_alike_at_any_worker_count(N):
+    assert_alike_at_any_worker_count(study("amh", -1.0, N))
+
+
+@pytest.mark.parametrize("N", [100, 1000])
+def test_reports_alike_where_a_quarter_share_is_no_power_of_two(N):
+    # N // (4 * workers) is 12 (N = 100) and 125 (N = 1000) at 2 workers, 83 (N = 1000)
+    # at 3: blocks of that many would not fold into the nodes of the whole study's tree
+    assert_alike_at_any_worker_count(cheap_study(N))
+
+
+@pytest.mark.parametrize("length", [1, 5, 8, 13])
+def test_block_folds_into_the_nodes_of_the_whole_tree(length):
+    config = cheap_study(32)
+    grid, replicates = study_grid(config), range(16, 16 + length)  # 16: aligned for 13
+    stack = _evaluate_block(config, grid, replicates)
+    ranks = [node.rank for node in stack]  # one node per set bit of the length
+    assert all(rank & (rank - 1) == 0 for rank in ranks)
+    assert ranks == sorted(set(ranks), reverse=True) and sum(ranks) == length
+    if length == 8:
+        want = _merge_stream(_evaluate_replicate(config, grid, r) for r in replicates)
+        (node,) = stack
+        for got, expected in zip(node[1:], want[1:]):  # count, mean, m2
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_pool_has_at_most_one_process_a_block(monkeypatch):
+    asked = []
+
+    class InProcessPool:
+        """Records ``max_workers`` and maps in this process; starts no process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    config = cheap_study(3)
+    assert emit_report(run_study(config, workers=64)) == emit_report(run_study(config))
+    assert asked and max(asked) <= 3
+    run_study(cheap_study(1), workers=64)  # one block: no pool
+    assert len(asked) == 1
