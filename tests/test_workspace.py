@@ -46,8 +46,7 @@ def study_grid(config):
 def replicate_bytes(config, r, workspace=None):
     """Every stage's result for replicate r, as bytes: u, v, rmin, (tau, beta) or the
     error second order raised, and the estimates on every cell."""
-    model, grid = config.model, cell_grid(config.margins, config.q_grid, config.k_grid,
-                                          config.kstar_rule, config.n, True)
+    model, grid = config.model, study_grid(config)
     u, v = sample_copula(model, config.n, replicate_generator(config.master_seed, r),
                          workspace=workspace)
     stages = [u.tobytes(), v.tobytes()]  # copied now: ranking reuses the workspace
