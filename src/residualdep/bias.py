@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._workspace import Workspace, floats
+from ._workspace import Workspace, second_order
 from .errors import ConstraintError, DataError, EstimationError, NumericDomainError, \
     ParameterDomainError, _integral
 from .estimators import EtaEstimate, _bias_factor, m_ab_path, uncertainty
@@ -93,7 +93,8 @@ def estimate_second_order(pseudo, k0: int | None = None, *,
     Raises
     ------
     DataError
-        When fewer than 50 observations are given.
+        When fewer than 50 observations are given, or an array that is not 1-d, not
+        ascending, or whose first value is not positive.
     ParameterDomainError
         When k0 lies outside 2..n-1.
     EstimationError
@@ -107,13 +108,16 @@ def estimate_second_order(pseudo, k0: int | None = None, *,
         k0 = default_k0(n)
     if not 2 <= k0 <= n - 1:
         raise ParameterDomainError(f"need 2 <= k0 <= n - 1 = {n - 1}, got {k0}")
+    if not isinstance(pseudo, PseudoSample):  # a PseudoSample is sorted by construction
+        pseudo = np.asarray(pseudo)
+        if pseudo.ndim != 1 or not (pseudo[0] > 0.0 and np.all(pseudo[1:] >= pseudo[:-1])):
+            raise DataError("second-order estimation needs an ascending, positive 1-d sample")
 
     # each step writes to its ``out`` (None allocates), in the order of the formula
-    out = floats(workspace, n, k0 + 1)[0]
+    out, *outs, i, x = second_order(workspace, n, k0)
     tail = pseudo.top(Margin.PARETO_T, k0 + 1, out=out) if isinstance(pseudo, PseudoSample) \
-        else np.asarray(pseudo)[n - k0 - 1:]
+        else pseudo[n - k0 - 1:]
     log_t = np.log(tail, out=out)  # z_(n-k0) .. z_(n)
-    outs = floats(workspace, n, k0)[1:4]
     excess = np.subtract(log_t[1:], log_t[0], out=outs[0])
     if not excess.any():
         raise EstimationError(f"degenerate tail: top {k0} pseudo-observations are constant")
@@ -136,11 +140,6 @@ def estimate_second_order(pseudo, k0: int | None = None, *,
             f"(statistics ratio {t_stat:.6g} on k0={k0} of n={n})"
         )
 
-    if workspace is None:
-        i = np.arange(1, k0 + 1)
-        x = i / k0
-    else:
-        i, x = workspace.counts[:k0], workspace.fractions(k0)
     beta = _beta_companion(log_t, n, k0, tau, i, x, outs)
     if not math.isfinite(beta):
         raise EstimationError(f"beta estimate diverged at k0={k0}")

@@ -26,7 +26,7 @@ from functools import cache
 
 import numpy as np
 
-from ._workspace import Workspace, floats
+from ._workspace import Workspace, sampling
 from .errors import ParameterDomainError, _real
 
 __all__ = [
@@ -132,7 +132,7 @@ def sample_copula(model: CopulaModel, n: int, seed, *,
     theta = model.theta
     fam = model.family
     # each step writes to its ``out`` (None allocates), in the order of the formula
-    u_out, v_out, t1, t2, t3, t4 = floats(workspace, n)
+    u_out, v_out, t1, t2, t3, t4 = sampling(workspace, n)
     if fam is Family.GAUSSIAN:
         ndtr = _special().ndtr
         z1 = rng.standard_normal(n, out=t1)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._workspace import Workspace
+from ._workspace import Workspace, kernel
 from .errors import NumericDomainError, VarianceDomainError
 from .pseudo import Margin, PseudoSample
 
@@ -105,8 +105,7 @@ def m_ab_path(tail: np.ndarray, ks, a, b, tail_index=None, *,
 
     Given a study's ``workspace``, the logs, the excesses, the (rows, k_max) terms
     and the (rows, len(ks)) values are written to its kernel buffers, with the same
-    ufuncs in the same order, so the result is the same to the bit; ``tail`` may be
-    the workspace's stacked-tails buffer, which then holds the logs.
+    ufuncs in the same order, so the result is the same to the bit.
     """
     ks = np.asarray(ks, dtype=np.intp)
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
@@ -125,8 +124,8 @@ def m_ab_path(tail: np.ndarray, ks, a, b, tail_index=None, *,
             len(rows) and not 0 <= rows.min() <= rows.max() < len(tails):
         raise ValueError(f"tail_index must give one of the {len(tails)} tails per (a, b) row")
     hill = a_col == 0.0
-    logs_out, excess_out, terms_out, sums_out, log_a_out = (None,) * 5 if workspace is None \
-        else workspace.kernel(len(tails), len(a_col), top, len(ks))
+    logs_out, excess_out, terms_out, sums_out, log_a_out = kernel(workspace, len(tails),
+                                                                  len(a_col), top, len(ks))
     with np.errstate(all="ignore"):
         logs = np.log(tails, out=logs_out)[:, ::-1]
         excess = np.subtract(logs[:, :-1], logs[:, :1], out=excess_out)

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._workspace import Workspace, floats
+from ._workspace import Workspace, ranking
 from .errors import DataError, TieError
 
 __all__ = [
@@ -67,11 +67,8 @@ class BivariateSample:
         return len(self.x)
 
 
-def _rank_one_margin(values, policy, rng, name, workspace, slot):
-    # with a workspace, the sorted values go to float slot 2, since a study's u and v,
-    # the values being ranked, are in slots 0 and 1
-    n = len(values)
-    ordered_out = floats(workspace, n)[2]
+def _rank_one_margin(values, policy, rng, name, workspace):
+    ordered_out, tied_out, ranks, counts = ranking(workspace, len(values), name)
     if policy is TiePolicy.JITTER:
         # a seeded random key orders ties only; distinct values keep their order
         order = np.lexsort((rng.random(len(values)), values))
@@ -82,8 +79,7 @@ def _rank_one_margin(values, policy, rng, name, workspace, slot):
         order = np.argsort(values)
         # every index is in range; mode "raise" would buffer a copy of ``out``
         ordered = np.take(values, order, out=ordered_out, mode="clip")
-        tied = np.equal(ordered[1:], ordered[:-1],
-                        out=None if workspace is None else workspace.tied)
+        tied = np.equal(ordered[1:], ordered[:-1], out=tied_out)
         if tied.any():
             if policy is TiePolicy.STRICT:
                 # the value as np.sort orders it: argsort may put -0.0 and
@@ -92,10 +88,6 @@ def _rank_one_margin(values, policy, rng, name, workspace, slot):
                 raise TieError(f"tied value {offender!r} in {name} under strict tie policy")
             # stable sort => ties ranked by order of first occurrence
             order = np.argsort(values, kind="stable")
-    if workspace is None:
-        ranks, counts = np.empty(n, dtype=np.int64), np.arange(1, n + 1)
-    else:
-        ranks, counts = workspace.ranks[slot], workspace.counts
     ranks[order] = counts
     return ranks
 
@@ -117,8 +109,8 @@ def compute_ranks(sample: BivariateSample, tie_policy=TiePolicy.FIRST_OCCURRENCE
         rng = np.random.default_rng(jitter_seed)
         import logging  # only this branch logs
         logging.getLogger(__name__).info("jitter tie policy active, seed=%d", jitter_seed)
-    rx = _rank_one_margin(sample.x, policy, rng, "x", workspace, 0)
-    ry = _rank_one_margin(sample.y, policy, rng, "y", workspace, 1)
+    rx = _rank_one_margin(sample.x, policy, rng, "x", workspace=workspace)
+    ry = _rank_one_margin(sample.y, policy, rng, "y", workspace=workspace)
     return rx, ry
 
 
@@ -162,7 +154,7 @@ class PseudoSample:
         """Rank ``sample`` and keep min(rx, ry).  Given a study's ``workspace``, the
         ranking runs in its buffers, and ``rmin`` is one of them until its next use."""
         rx, ry = compute_ranks(sample, tie_policy, jitter_seed, workspace=workspace)
-        return cls.from_ranks(rx, ry, out=None if workspace is None else rx)
+        return cls.from_ranks(rx, ry, out=rx)
 
     @classmethod
     def from_ranks(cls, rx: np.ndarray, ry: np.ndarray, *,

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._workspace import Workspace
+from ._workspace import Workspace, kernel
 from .bias import SecondOrderParams, effective_tau, estimate_second_order, reduced_bias_path
 from .copulas import CopulaModel, replicate_generator, sample_copula
 from .errors import ParameterDomainError, ResidualDepError, _integral, _real
@@ -370,14 +370,13 @@ def evaluate_cells(pseudo: PseudoSample, grid: CellGrid, so: SecondOrderParams |
     the grid's distinct rows, each margin's tail a row of the stacked tails: NaN where an
     estimate is undefined, and on every reduced-bias path when ``so`` is None.  Given a
     study's ``workspace``, the stacked tails and the kernel's arrays are its buffers."""
-    kernel = grid.kernel
+    rows = grid.kernel
     top = int(grid.ks.max(initial=0))  # a path reads top + 1 values at its largest k
-    tails = np.empty((len(kernel.margins), top + 1)) if workspace is None else \
-        workspace.kernel(len(kernel.margins), len(kernel.a), top, len(grid.ks))[0]
-    for margin, out in zip(kernel.margins, tails):
+    tails, *_ = kernel(workspace, len(rows.margins), len(rows.a), top, len(grid.ks))
+    for margin, out in zip(rows.margins, tails):
         pseudo.top(margin, top + 1, out=out)
-    etas = m_ab_path(tails, grid.ks, kernel.a, kernel.b, kernel.tail,
-                     workspace=workspace)[kernel.path_row]
+    etas = m_ab_path(tails, grid.ks, rows.a, rows.b, rows.tail,
+                     workspace=workspace)[rows.path_row]
     if grid.kstars is not None:
         reduced = grid.estimator == "reduced"
         etas[reduced] = math.nan if so is None else \

@@ -19,6 +19,9 @@ def _pseudo(seed, n, model=None):
     return PseudoSample.from_sample(BivariateSample(u, v))
 
 
+PARETO = np.random.default_rng(1).pareto(2.0, 200) + 1.0  # Pareto(2), unsorted
+
+
 class TestEffectiveTau:
     def test_eta_dominates_when_tau_large(self):
         assert effective_tau(1 / 3, 2 / 3) == pytest.approx(1 / 3, abs=1e-15)
@@ -110,6 +113,21 @@ class TestEstimateSecondOrder:
             estimate_second_order(_pseudo(1, 40))
         with pytest.raises(DataError):
             estimate_second_order(_pseudo(1, 40))
+
+    def test_sorted_sample_estimate_unchanged(self):
+        so = estimate_second_order(np.sort(PARETO))
+        assert (so.tau_hat.hex(), so.beta_hat.hex(), so.k0) == \
+            ("0x1.3141145c76a37p-1", "-0x1.3429eafb5b9e3p-5", 198)
+
+    @pytest.mark.parametrize("sample", [
+        PARETO,  # unchecked, tau = 5.34 where the same values sorted give 0.596
+        -np.sort(PARETO),  # unchecked, np.log warned, then a NaN statistics ratio
+        *(np.concatenate([[first], np.sort(PARETO)[1:]]) for first in (0.0, -1.0, math.nan)),
+        np.stack([np.sort(PARETO)] * 2, axis=1),  # unchecked, numpy's ValueError
+    ], ids=["unsorted", "negated", "from_zero", "from_negative", "from_nan", "two_columns"])
+    def test_array_not_ascending_and_positive_refused(self, sample):
+        with pytest.raises(DataError, match="needs an ascending, positive 1-d sample"):
+            estimate_second_order(sample)
 
     def test_k0_out_of_range_is_a_domain_error(self):
         for k0 in (1, 100):

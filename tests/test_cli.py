@@ -676,6 +676,24 @@ class TestOracleCommand:
         code, out, _ = run_cli(capsys, "oracle", "--n", "10", "--seed", "0")
         assert code == 0 and "FAIL" not in out
 
+    def test_kernel_off_by_1e_9_fails(self, capsys, monkeypatch):
+        m_ab = cli.m_ab
+        monkeypatch.setattr(cli, "m_ab", lambda *args: m_ab(*args) + 1e-9)
+        code, out, _ = run_cli(capsys, "oracle", "--n", "20", "--seed", "1")
+        assert code == 4
+        assert "ok joint-exceedance identity (all m in 1..20)" in out
+        assert "FAIL power-mean kernel vs naive loop: max |diff| = 1.000e-09" in out
+
+    def test_joint_count_off_by_one_fails(self, capsys, monkeypatch):
+        count = cli.joint_exceedance_count
+        monkeypatch.setattr(cli, "joint_exceedance_count", lambda *args: count(*args) + 1)
+        code, out, _ = run_cli(capsys, "oracle", "--n", "20", "--seed", "1")
+        assert code == 4
+        failures = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failures) == 20 and \
+            failures[0].startswith("FAIL joint-exceedance identity at m=1: ")
+        assert "ok power-mean kernel vs naive loop" in out
+
 
 def test_main_calls_share_one_parser(uniform_csv, capsys):
     # main reuses one parser per process; a run of calls must give what each
